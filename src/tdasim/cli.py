@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -201,17 +200,12 @@ def _cmd_metrics(cfg: RunConfig, parser: _Parser) -> None:
     if cfg.runs > 1:
         if not cfg.preset:
             parser.error("metrics: --runs needs --preset to generate scenarios")
-        seeds = [cfg.seed + i for i in range(cfg.runs)]
-        with ThreadPoolExecutor(max_workers=min(cfg.runs, 8)) as pool:
-            reports = list(pool.map(
-                lambda seed: evaluate_scenario(
-                    generate(preset_params(cfg.preset, seed)), timing_repeats=0
-                ).to_dict(),
-                seeds,
-            ))
-        _emit(dumps({"runs": [
-            {"seed": seed, **report} for seed, report in zip(seeds, reports)
-        ]}), cfg.out)
+        runs = [
+            {"seed": seed, **evaluate_scenario(
+                generate(preset_params(cfg.preset, seed)), timing_repeats=0).to_dict()}
+            for seed in range(cfg.seed, cfg.seed + cfg.runs)
+        ]
+        _emit(dumps({"runs": runs}), cfg.out)
         return
     s = _obtain_scenario(cfg, parser, "metrics")
     _emit(dumps(evaluate_scenario(s, timing_repeats=0).to_dict()), cfg.out)

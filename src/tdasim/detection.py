@@ -105,13 +105,12 @@ class NeighborTables:
         return cls(node, frozenset(one), frozenset(two), originals, pieces)
 
 
-def detect_global(g: Twig, trace: PacketTrace, t_tr: int | None = None) -> DetectionReport:
+def detect_global(g: Twig, trace: PacketTrace) -> DetectionReport:
     """Backward shortest-path comparison over the whole trace (needs full knowledge)."""
-    t_tr = g.t_tr if t_tr is None else t_tr
     if not trace.delivered:
         raise InconsistentTrace("only delivered traces can be checked")
     try:
-        fp = embed_trace(g, trace, t_tr)
+        fp = embed_trace(g, trace)
     except EmbeddingError as exc:
         raise InconsistentTrace(str(exc)) from exc
     receive_idx = [0]

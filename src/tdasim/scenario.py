@@ -348,6 +348,14 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _convert(convert: Callable, value, what: str):
+    """convert(value), or a ScenarioError naming what if the value is malformed."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{what}: invalid value {value!r}") from exc
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
@@ -357,6 +365,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key in ("nodes", "windows", "t_tr", "source", "destination"):
         if key not in data:
             raise ScenarioError(f"missing required key: {key}")
+    for key in ("nodes", "windows"):
+        if not isinstance(data[key], list) or not all(isinstance(e, dict) for e in data[key]):
+            raise ScenarioError(f"{key} must be a list of objects")
+    if not isinstance(data.get("attack", {}), dict):
+        raise ScenarioError("attack must be an object mapping node ids to delays")
     nodes = []
     for nd in data["nodes"]:
         bad = set(nd) - _NODE_KEYS
@@ -364,44 +377,45 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"node entry has unknown keys: {sorted(bad)}")
         if "id" not in nd:
             raise ScenarioError("node entry missing id")
-        try:
-            kind = NodeKind(nd.get("kind", "uav"))
-        except ValueError as exc:
-            raise ScenarioError(f"node {nd['id']}: unknown kind {nd.get('kind')!r}") from exc
+        what = f"node {nd['id']}"
         wps = None
         if "waypoints" in nd:
-            wps = tuple(
-                Waypoint(float(x), float(y), float(z), to_us(t))
-                for x, y, z, t in nd["waypoints"]
-            )
+            wps = _convert(lambda points: tuple(Waypoint(float(x), float(y), float(z), to_us(t))
+                                                for x, y, z, t in points),
+                           nd["waypoints"], f"{what} waypoints")
         nodes.append(Node(
-            id=int(nd["id"]), kind=kind, name=nd.get("name"),
-            waypoints=wps,
-            range_m=float(nd["range"]) if "range" in nd else None,
-            speed=float(nd["speed"]) if "speed" in nd else None,
+            id=_convert(int, nd["id"], "node id"),
+            kind=_convert(NodeKind, nd.get("kind", "uav"), f"{what} kind"),
+            name=nd.get("name"), waypoints=wps,
+            range_m=_convert(float, nd["range"], f"{what} range") if "range" in nd else None,
+            speed=_convert(float, nd["speed"], f"{what} speed") if "speed" in nd else None,
         ))
     windows = []
     for wd in data["windows"]:
         bad = set(wd) - _WINDOW_KEYS
         if bad:
             raise ScenarioError(f"window entry has unknown keys: {sorted(bad)}")
-        try:
-            windows.append(TimeWindow(
-                wid=int(wd["wid"]), a=int(wd["a"]), b=int(wd["b"]),
-                start=to_us(wd["start"]), end=to_us(wd["end"]),
-            ))
-        except KeyError as exc:
-            raise ScenarioError(f"window entry missing key {exc}") from exc
+        missing = _WINDOW_KEYS - set(wd)
+        if missing:
+            raise ScenarioError(f"window entry missing keys: {sorted(missing)}")
+        what = f"window {wd['wid']}"
+        windows.append(TimeWindow(
+            wid=_convert(int, wd["wid"], "window id"),
+            a=_convert(int, wd["a"], f"{what} a"), b=_convert(int, wd["b"], f"{what} b"),
+            start=_convert(to_us, wd["start"], f"{what} start"),
+            end=_convert(to_us, wd["end"], f"{what} end"),
+        ))
     attack = AttackConfig({
-        int(node): to_us(delay) for node, delay in data.get("attack", {}).items()
+        _convert(int, node, "attack node id"): _convert(to_us, delay, f"attack delay of {node}")
+        for node, delay in data.get("attack", {}).items()
     })
     s = Scenario(
         nodes=tuple(nodes),
         windows=tuple(windows),
-        t_tr=to_us(data["t_tr"]),
-        source=int(data["source"]),
-        destination=int(data["destination"]),
-        creation_time=to_us(data.get("creation_time", 0)),
+        t_tr=_convert(to_us, data["t_tr"], "t_tr"),
+        source=_convert(int, data["source"], "source"),
+        destination=_convert(int, data["destination"], "destination"),
+        creation_time=_convert(to_us, data.get("creation_time", 0), "creation_time"),
         attack=attack,
     )
     validate_scenario(s)
@@ -429,8 +443,3 @@ def dumps(obj: dict) -> str:
     """Serialize a report object deterministically (fixed field order, newline-terminated)."""
     return json.dumps(obj, indent=2) + "\n"
 
-
-def generate(params) -> Scenario:
-    """Produce a random but reproducible scenario; see the generate module."""
-    from .generate import generate as _generate
-    return _generate(params)

@@ -5,8 +5,9 @@ windows is either disjoint, nested, or identical in span.  Each surviving
 window contributes one vertex per endpoint node joined by an undirected
 within-window edge of weight t_tr; windows sharing a node are joined by
 directed succession edges or undirected containment edges whose weight is the
-difference of their start times.  Shortest-path queries and the embedding of
-physical packet traces both operate on this graph.
+difference of their start times; only the pieces are stored, and each arc is
+derived from the two pieces it joins.  Shortest-path queries and the embedding
+of physical packet traces both operate on this graph.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .scenario import NodeId, TimeWindow, to_seconds
 
@@ -74,7 +75,6 @@ class Twig:
     """Immutable after build(); all query methods are read-only."""
 
     split_windows: tuple[TimeWindow, ...]
-    edges: tuple[TwigEdge, ...]
     provenance: Mapping[int, int]  # split wid -> original wid
     originals: tuple[TimeWindow, ...]
     t_tr: int
@@ -92,19 +92,6 @@ class Twig:
             by_pair.setdefault(w.pair, []).append(w)
         self._by_node = {n: tuple(sorted(ws, key=_wkey)) for n, ws in by_node.items()}
         self._by_pair = {p: tuple(sorted(ws, key=_wkey)) for p, ws in by_pair.items()}
-        arcs: dict[TwigVertex, list[tuple[TwigVertex, int, EdgeOrigin]]] = {}
-        arc_weight: dict[tuple[TwigVertex, TwigVertex], int] = {}
-        for e in self.edges:
-            pairs = [(e.u, e.v)]
-            if e.kind is EdgeKind.UNDIRECTED:
-                pairs.append((e.v, e.u))
-            for u, v in pairs:
-                arcs.setdefault(u, []).append((v, e.weight, e.origin))
-                arc_weight[(u, v)] = e.weight
-        for lst in arcs.values():
-            lst.sort(key=lambda item: item[0].key)
-        self._arcs = arcs
-        self._arc_weight = arc_weight
         self.vertices = tuple(sorted(
             {TwigVertex(w.a, w.wid) for w in self.split_windows}
             | {TwigVertex(w.b, w.wid) for w in self.split_windows}
@@ -129,11 +116,46 @@ class Twig:
         pair = (a, b) if a < b else (b, a)
         return self._by_pair.get(pair, ())
 
+    def _has_vertex(self, v: TwigVertex) -> bool:
+        w = self._piece.get(v.wid)
+        return w is not None and w.touches(v.node)
+
     def arcs_from(self, v: TwigVertex) -> Sequence[tuple[TwigVertex, int, EdgeOrigin]]:
-        return self._arcs.get(v, ())
+        """Arcs leaving v as (target, weight, origin), ordered by target key."""
+        if not self._has_vertex(v):
+            return ()
+        return [(TwigVertex(*key), weight, origin)
+                for key, weight, origin in sorted(self._out(v.node, v.wid))]
 
     def arc_weight(self, u: TwigVertex, v: TwigVertex) -> int | None:
-        return self._arc_weight.get((u, v))
+        if not (self._has_vertex(u) and self._has_vertex(v)):
+            return None
+        arc = _arc(self.t_tr, u.node, self._piece[u.wid], v.node, self._piece[v.wid])
+        return None if arc is None else arc[0]
+
+    def _out(self, node: NodeId, wid: int) -> Iterator[tuple[tuple[int, int], int, EdgeOrigin]]:
+        """Arcs leaving vertex (node, wid) as (target key, weight, origin), unordered."""
+        w = self._piece[wid]
+        for node2, w2 in [(w.other(node), w), *((node, w2) for w2 in self._by_node[node])]:
+            arc = _arc(self.t_tr, node, w, node2, w2)
+            if arc is not None:
+                yield (node2, w2.wid), arc[0], arc[1]
+
+    @property
+    def edges(self) -> tuple[TwigEdge, ...]:
+        """Every edge once, in (u, v) key order, derived from the pieces on each
+        access.  An undirected edge runs from the lower node id across a
+        window, and from the containing window into the inner one."""
+        out = []
+        for u in self.vertices:
+            wu = self._piece[u.wid]
+            for v, weight, origin in self.arcs_from(u):
+                wv = self._piece[v.wid]
+                if origin is EdgeOrigin.SUCCESSION:
+                    out.append(TwigEdge(u, v, EdgeKind.DIRECTED, weight, origin))
+                elif (u.node, wu.start, -wu.end, u.wid) < (v.node, wv.start, -wv.end, v.wid):
+                    out.append(TwigEdge(u, v, EdgeKind.UNDIRECTED, weight, origin))
+        return tuple(out)
 
     def usable(self, wid: int, now: int) -> bool:
         """Could a transmission over this split window start no earlier than now?
@@ -159,6 +181,26 @@ def _wkey(w: TimeWindow) -> tuple[int, int, int]:
     return (w.start, w.end, w.wid)
 
 
+def _arc(
+    t_tr: int, nu: NodeId, wu: TimeWindow, nv: NodeId, wv: TimeWindow,
+) -> tuple[int, EdgeOrigin] | None:
+    """Weight and origin of the arc from vertex (nu, wu) to (nv, wv), or None.
+
+    The graph's only arc rules; both vertices must be in the graph.  A
+    window's endpoints are joined both ways at cost t_tr.  Two windows of one
+    node are joined by succession, forward in time only, when the first ends
+    by the time the second starts, else (split pieces nest) by containment,
+    both ways; either costs the gap between their start times.
+    """
+    if nu != nv:
+        return (t_tr, EdgeOrigin.WITHIN_WINDOW) if wu.wid == wv.wid else None
+    if wu.end <= wv.start:
+        return (wv.start - wu.start, EdgeOrigin.SUCCESSION)
+    if wv.end <= wu.start or wu.wid == wv.wid:
+        return None
+    return (abs(wv.start - wu.start), EdgeOrigin.CONTAINMENT)
+
+
 def _window_labels(pieces: Iterable[TimeWindow], provenance: Mapping[int, int]) -> dict[int, str]:
     children: dict[int, list[int]] = {}
     for w in pieces:
@@ -177,48 +219,15 @@ def _window_labels(pieces: Iterable[TimeWindow], provenance: Mapping[int, int]) 
 # construction
 
 def build(windows: Sequence[TimeWindow], t_tr: int) -> Twig:
-    """Split partially overlapping windows to a fixpoint, then wire up all edges."""
+    """Split partially overlapping windows to a fixpoint; arcs follow from the pieces."""
     if t_tr <= 0:
         raise ValueError("t_tr must be positive")
     wids = [w.wid for w in windows]
     if len(wids) != len(set(wids)):
         raise ValueError("window ids must be unique")
     pieces, provenance = _split(windows)
-    edges: list[TwigEdge] = []
-    for w in pieces:
-        lo, hi = sorted((w.a, w.b))
-        edges.append(TwigEdge(
-            TwigVertex(lo, w.wid), TwigVertex(hi, w.wid),
-            EdgeKind.UNDIRECTED, t_tr, EdgeOrigin.WITHIN_WINDOW,
-        ))
-    by_node: dict[NodeId, list[TimeWindow]] = {}
-    for w in pieces:
-        by_node.setdefault(w.a, []).append(w)
-        by_node.setdefault(w.b, []).append(w)
-    for node in sorted(by_node):
-        ws = sorted(by_node[node], key=_wkey)
-        for i, wi in enumerate(ws):
-            for wj in ws[i + 1:]:
-                if wi.end <= wj.start:
-                    edges.append(TwigEdge(
-                        TwigVertex(node, wi.wid), TwigVertex(node, wj.wid),
-                        EdgeKind.DIRECTED, wj.start - wi.start, EdgeOrigin.SUCCESSION,
-                    ))
-                elif wj.end <= wi.end or wi.start == wj.start:
-                    # one span nests inside the other (equal spans included)
-                    container, inner = (wi, wj) if wj.end <= wi.end else (wj, wi)
-                    edges.append(TwigEdge(
-                        TwigVertex(node, container.wid), TwigVertex(node, inner.wid),
-                        EdgeKind.UNDIRECTED, inner.start - container.start,
-                        EdgeOrigin.CONTAINMENT,
-                    ))
-                else:
-                    raise AssertionError(
-                        f"windows {wi.wid} and {wj.wid} still partially overlap after splitting"
-                    )
     return Twig(
         split_windows=tuple(pieces),
-        edges=tuple(edges),
         provenance=provenance,
         originals=tuple(windows),
         t_tr=t_tr,
@@ -288,40 +297,39 @@ def shortest_path(
     within-window edges are traversable only if the window is usable at that
     instant; same-node edges are never restricted.
     """
-    if start not in g._arcs and start not in set(g.vertices):
+    if not g._has_vertex(start):
         raise ValueError(f"vertex {start} is not in the graph")
     if start.node == to_node:
         return TwigPath((start,), 0, ())
-    heap: list[tuple[int, int, tuple[tuple[int, int], ...], TwigVertex]] = [
-        (0, 0, (start.key,), start)
-    ]
-    done: set[TwigVertex] = set()
+    # (weight, hops, key sequence) is a total order: arc order cannot change the result
+    heap: list[tuple[int, int, tuple[tuple[NodeId, int], ...]]] = [(0, 0, (start.key,))]
+    done: set[tuple[NodeId, int]] = set()
     while heap:
-        weight, hops, keys, v = heapq.heappop(heap)
+        weight, hops, keys = heapq.heappop(heap)
+        v = keys[-1]
         if v in done:
             continue
         done.add(v)
-        if v.node == to_node:
+        node, wid = v
+        if node == to_node:
             verts = tuple(TwigVertex(n, w) for n, w in keys)
-            arc_weights = []
-            for a, b in zip(verts, verts[1:]):
-                aw = g.arc_weight(a, b)
-                assert aw is not None
-                arc_weights.append(aw)
-            return TwigPath(verts, weight, tuple(arc_weights))
-        for v2, w, origin in g.arcs_from(v):
+            arc_weights = tuple(g.arc_weight(a, b) for a, b in zip(verts, verts[1:]))
+            assert None not in arc_weights
+            return TwigPath(verts, weight, arc_weights)
+        crossable = now is None or g.usable(wid, now)
+        for v2, w, origin in g._out(node, wid):
             if v2 in done:
                 continue
-            if now is not None and origin is EdgeOrigin.WITHIN_WINDOW and not g.usable(v.wid, now):
+            if origin is EdgeOrigin.WITHIN_WINDOW and not crossable:
                 continue
-            heapq.heappush(heap, (weight + w, hops + 1, keys + (v2.key,), v2))
+            heapq.heappush(heap, (weight + w, hops + 1, keys + (v2,)))
     return None
 
 
 # ---------------------------------------------------------------------------
 # trace embedding
 
-def embed_trace(g: Twig, trace: "PacketTrace", t_tr: int | None = None) -> TwigPath:
+def embed_trace(g: Twig, trace: "PacketTrace") -> TwigPath:
     """Map a physical hop sequence onto graph vertices.
 
     Each hop crosses the latest split window of its node pair that contains
@@ -330,13 +338,12 @@ def embed_trace(g: Twig, trace: "PacketTrace", t_tr: int | None = None) -> TwigP
     the upcoming send instant are inserted in span order, which reproduces the
     same-node vertex runs of hand-worked followed paths.
     """
-    t_tr = g.t_tr if t_tr is None else t_tr
     hops = trace.hops
     if len(hops) < 2:
         raise EmbeddingError("trace has no transmissions to embed")
     crossing: list[TimeWindow] = []
     for i in range(1, len(hops)):
-        send = hops[i].reception_time - t_tr
+        send = hops[i].reception_time - g.t_tr
         w = g.send_window(hops[i - 1].node, hops[i].node, send)
         if w is None:
             raise EmbeddingError(
@@ -354,11 +361,11 @@ def embed_trace(g: Twig, trace: "PacketTrace", t_tr: int | None = None) -> TwigP
     for i in range(1, len(hops)):
         node = hops[i].node
         verts.append(TwigVertex(node, crossing[i - 1].wid))
-        weights.append(t_tr)
+        weights.append(g.t_tr)
         if i == len(hops) - 1:
             break
         for v2, w2 in _same_node_run(g, node, crossing[i - 1], crossing[i],
-                                     hops[i + 1].reception_time - t_tr, hop=i):
+                                     hops[i + 1].reception_time - g.t_tr, hop=i):
             verts.append(v2)
             weights.append(w2)
     return TwigPath(tuple(verts), sum(weights), tuple(weights))
@@ -369,30 +376,20 @@ def _same_node_run(
 ) -> list[tuple[TwigVertex, int]]:
     if recv.wid == send.wid:
         return []
-    cands = [w for w in g.windows_of_node(node) if w.start <= send_instant <= w.end]
     kr, ks = _wkey(recv), _wkey(send)
-    if kr <= ks:
-        mids = [w for w in cands if kr < _wkey(w) < ks]
-    else:
-        mids = [w for w in cands if ks < _wkey(w) < kr]
+    mids = [w for w in g.windows_of_node(node)
+            if w.start <= send_instant <= w.end and min(kr, ks) < _wkey(w) < max(kr, ks)]
+    if kr > ks:
         mids.reverse()
-    out: list[tuple[TwigVertex, int]] = []
-    prev = recv
-    for w in mids + [send]:
-        aw = g.arc_weight(TwigVertex(node, prev.wid), TwigVertex(node, w.wid))
-        if aw is None:
-            out = []
-            break
-        out.append((TwigVertex(node, w.wid), aw))
-        prev = w
-    if out:
-        return out
-    direct = g.arc_weight(TwigVertex(node, recv.wid), TwigVertex(node, send.wid))
-    if direct is None:
+    run = [recv, *mids, send]
+    arcs = [_arc(g.t_tr, node, u, node, v) for u, v in zip(run, run[1:])]
+    if None in arcs:  # fall back to the direct arc
+        run, arcs = [recv, send], [_arc(g.t_tr, node, recv, node, send)]
+    if arcs[0] is None:
         raise EmbeddingError(
             f"hop {hop}: node {node} cannot move from window {recv.wid} to {send.wid}"
         )
-    return [(TwigVertex(node, send.wid), direct)]
+    return [(TwigVertex(node, w.wid), arc[0]) for w, arc in zip(run[1:], arcs)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +407,7 @@ def graph_to_dict(g: Twig) -> dict:
             "end": to_seconds(w.end),
         })
     edges = []
-    for e in sorted(g.edges, key=lambda e: (e.u.key, e.v.key, e.origin.value)):
+    for e in g.edges:
         edges.append({
             "u": list(e.u.key),
             "v": list(e.v.key),
@@ -426,7 +423,7 @@ def to_dot(g: Twig, node_label: Callable[[NodeId], str] = str) -> str:
     lines = ["digraph twig {"]
     for v in g.vertices:
         lines.append(f'  "{g.vertex_label(v, node_label)}";')
-    for e in sorted(g.edges, key=lambda e: (e.u.key, e.v.key, e.origin.value)):
+    for e in g.edges:
         lu = g.vertex_label(e.u, node_label)
         lv = g.vertex_label(e.v, node_label)
         attrs = f'label="{to_seconds(e.weight):g}"'

@@ -1,8 +1,10 @@
 """Shared builders and independent oracles for the test suite.
 
-The oracle in here deliberately avoids the production Dijkstra: it enumerates
-every simple path by depth-first search and ranks them with the documented
-ordering, so the two implementations can be checked against each other.
+The oracles in here deliberately avoid the production code: the path oracle
+enumerates every simple path by depth-first search and ranks them with the
+documented ordering, and the arc oracle wires every edge of the same-node
+closure explicitly, so the arcs the graph derives on demand can be checked
+against it.
 """
 
 from __future__ import annotations
@@ -11,12 +13,14 @@ import random
 
 from tdasim import (
     AttackConfig,
+    EdgeKind,
     EdgeOrigin,
     Node,
     NodeKind,
     Scenario,
     TimeWindow,
     Twig,
+    TwigEdge,
     TwigVertex,
     build,
     to_us,
@@ -124,3 +128,56 @@ def random_small_twig(rng: random.Random, max_vertices: int = 12) -> Twig:
         g = build(tuple(windows), to_us(1))
         if len(g.vertices) <= max_vertices:
             return g
+
+
+def oracle_edges(pieces, t_tr: int) -> tuple[TwigEdge, ...]:
+    """Every edge of the graph over these split pieces, wired explicitly."""
+    edges: list[TwigEdge] = []
+    for w in pieces:
+        lo, hi = sorted((w.a, w.b))
+        edges.append(TwigEdge(
+            TwigVertex(lo, w.wid), TwigVertex(hi, w.wid),
+            EdgeKind.UNDIRECTED, t_tr, EdgeOrigin.WITHIN_WINDOW,
+        ))
+    by_node: dict[int, list[TimeWindow]] = {}
+    for w in pieces:
+        by_node.setdefault(w.a, []).append(w)
+        by_node.setdefault(w.b, []).append(w)
+    for node in sorted(by_node):
+        ws = sorted(by_node[node], key=lambda w: (w.start, w.end, w.wid))
+        for i, wi in enumerate(ws):
+            for wj in ws[i + 1:]:
+                if wi.end <= wj.start:
+                    edges.append(TwigEdge(
+                        TwigVertex(node, wi.wid), TwigVertex(node, wj.wid),
+                        EdgeKind.DIRECTED, wj.start - wi.start, EdgeOrigin.SUCCESSION,
+                    ))
+                elif wj.end <= wi.end or wi.start == wj.start:
+                    # one span nests inside the other (equal spans included)
+                    container, inner = (wi, wj) if wj.end <= wi.end else (wj, wi)
+                    edges.append(TwigEdge(
+                        TwigVertex(node, container.wid), TwigVertex(node, inner.wid),
+                        EdgeKind.UNDIRECTED, inner.start - container.start,
+                        EdgeOrigin.CONTAINMENT,
+                    ))
+                else:
+                    raise AssertionError(
+                        f"windows {wi.wid} and {wj.wid} still partially overlap after splitting"
+                    )
+    return tuple(edges)
+
+
+def oracle_arcs(edges):
+    """(arcs by source vertex, ordered by target key; weight by vertex pair)."""
+    arcs: dict[TwigVertex, list[tuple[TwigVertex, int, EdgeOrigin]]] = {}
+    arc_weight: dict[tuple[TwigVertex, TwigVertex], int] = {}
+    for e in edges:
+        pairs = [(e.u, e.v)]
+        if e.kind is EdgeKind.UNDIRECTED:
+            pairs.append((e.v, e.u))
+        for u, v in pairs:
+            arcs.setdefault(u, []).append((v, e.weight, e.origin))
+            arc_weight[(u, v)] = e.weight
+    for lst in arcs.values():
+        lst.sort(key=lambda item: item[0].key)
+    return arcs, arc_weight

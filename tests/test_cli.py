@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from support import A, C, make_demo
-from tdasim import save_scenario
+from tdasim import save_scenario, scenario_to_dict
 from tdasim.cli import main
 
 
@@ -212,11 +212,31 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_invalid_scenario_exits_2(tmp_path, capsys):
+def _demo_doc(edit) -> str:
+    doc = scenario_to_dict(make_demo())
+    edit(doc)
+    return json.dumps(doc)  # writes NaN and Infinity as the JSON extensions
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"nodes": []}',
+        _demo_doc(lambda d: d["windows"][0].update(start=float("nan"))),
+        _demo_doc(lambda d: d["windows"][0].update(end=float("inf"))),
+        _demo_doc(lambda d: d.update(nodes=[0, 1])),
+        _demo_doc(lambda d: d.update(windows=5)),
+        _demo_doc(lambda d: d.update(attack={"x": 1.0})),
+        _demo_doc(lambda d: d.update(t_tr="abc")),
+    ],
+    ids=["missing-keys", "nan-time", "inf-time", "nodes-not-objects", "windows-not-list",
+         "attack-key-not-int", "t_tr-not-number"],
+)
+def test_invalid_scenario_exits_2(text, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"nodes": []}')
+    bad.write_text(text)
     assert main(["graph", "--scenario", str(bad)]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unknown_preset_exits_2(capsys):

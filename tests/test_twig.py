@@ -20,6 +20,8 @@ from support import (
     demo_windows,
     label_path,
     make_demo,
+    oracle_arcs,
+    oracle_edges,
     oracle_shortest,
     random_small_twig,
     vertex,
@@ -417,6 +419,55 @@ def test_random_graphs_are_sound(seed):
         elif e.origin is EdgeOrigin.CONTAINMENT:
             inner, outer = g.window(e.v.wid), g.window(e.u.wid)
             assert outer.start <= inner.start and inner.end <= outer.end
+
+
+def assert_arcs_match_oracle(g):
+    want_edges = oracle_edges(g.split_windows, g.t_tr)
+    assert g.edges == tuple(sorted(want_edges, key=lambda e: (e.u.key, e.v.key)))
+    arcs, weight = oracle_arcs(want_edges)
+    for u in g.vertices:
+        assert list(g.arcs_from(u)) == arcs.get(u, [])
+        for v in g.vertices:
+            assert g.arc_weight(u, v) == weight.get((u, v))
+
+
+def coarse_windows(rng: random.Random) -> tuple[TimeWindow, ...]:
+    """Windows on a 5 s grid, so equal spans and touching windows are common."""
+    windows = []
+    for wid in range(1, rng.randint(2, 6) + 1):
+        a, b = rng.sample(range(3), 2)
+        start = 5 * rng.randint(0, 4)
+        end = start + 5 * rng.randint(1, 3)
+        windows.append(TimeWindow(wid, a, b, start * SEC, end * SEC))
+    return tuple(windows)
+
+
+def test_derived_arcs_match_oracle_on_fixed_graphs(demo_graph):
+    assert_arcs_match_oracle(demo_graph)
+    equal_and_touching = (
+        TimeWindow(1, 0, 1, 0, 10 * SEC),
+        TimeWindow(2, 0, 2, 0, 10 * SEC),  # same span as window 1 on node 0
+        TimeWindow(3, 1, 2, 0, 10 * SEC),  # same span, other pair
+        TimeWindow(4, 0, 1, 10 * SEC, 20 * SEC),  # starts where 1 and 2 end
+        TimeWindow(5, 0, 2, 0, 20 * SEC),  # same start, longer
+    )
+    g = build(equal_and_touching, SEC)
+    assert_arcs_match_oracle(g)
+    # touching windows are joined by succession, one way only
+    v1, v4 = TwigVertex(0, 1), TwigVertex(0, 4)
+    assert g.arc_weight(v1, v4) == 10 * SEC
+    assert g.arc_weight(v4, v1) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_derived_arcs_match_oracle_on_random_graphs(seed, coarse):
+    rng = random.Random(seed)
+    if coarse:
+        g = build(coarse_windows(rng), SEC)
+    else:
+        g = random_small_twig(rng, max_vertices=30)
+    assert_arcs_match_oracle(g)
 
 
 def test_split_spans_independent_of_input_order():
