@@ -23,8 +23,8 @@ from .detection import (
 from .generate import GenerationError, GenerationParams, generate, preset_params
 from .metrics import MODES, OverheadModel, eor, evaluate_scenario
 from .scenario import Scenario, ScenarioError, dumps, load_scenario, scenario_to_dict
-from .simulator import simulate, trace_to_dict
-from .twig import EmbeddingError, build, graph_to_dict, to_dot
+from .simulator import PacketTrace, simulate, trace_to_dict
+from .twig import EmbeddingError, Twig, build, graph_to_dict, to_dot
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,7 @@ def _require_scenario(cfg: RunConfig, parser: _Parser, stage: str) -> Scenario:
     return load_scenario(cfg.scenario_path)
 
 
-def _detect_payload(s: Scenario, mode: str) -> dict:
-    g = build(s.windows, s.t_tr)
-    trace = simulate(s, g)
+def _detect_payload(s: Scenario, g: Twig, trace: PacketTrace, mode: str) -> dict:
     if not trace.delivered:
         raise InconsistentTrace(
             "detect: the message was dropped before the destination; nothing to judge"
@@ -174,7 +172,8 @@ def _cmd_simulate(cfg: RunConfig, parser: _Parser) -> None:
 
 def _cmd_detect(cfg: RunConfig, parser: _Parser) -> None:
     s = _require_scenario(cfg, parser, "detect")
-    _emit(dumps(_detect_payload(s, cfg.mode)), cfg.out)
+    g = build(s.windows, s.t_tr)
+    _emit(dumps(_detect_payload(s, g, simulate(s, g), cfg.mode)), cfg.out)
 
 
 def _eor_text(hops: tuple[int, ...], fmt: str) -> str:
@@ -222,7 +221,7 @@ def _cmd_all(cfg: RunConfig, parser: _Parser) -> None:
     (outdir / "graph.json").write_text(dumps(graph_to_dict(g)), encoding="utf-8")
     trace = simulate(s, g)
     (outdir / "trace.json").write_text(dumps(trace_to_dict(trace)), encoding="utf-8")
-    (outdir / "detect.json").write_text(dumps(_detect_payload(s, cfg.mode)),
+    (outdir / "detect.json").write_text(dumps(_detect_payload(s, g, trace, cfg.mode)),
                                         encoding="utf-8")
     (outdir / "metrics.json").write_text(
         dumps(evaluate_scenario(s, timing_repeats=0).to_dict()), encoding="utf-8")

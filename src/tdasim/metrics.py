@@ -13,10 +13,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-from .detection import DetectionReport, detect_global, run_local_pipeline
-from .scenario import AttackConfig, NodeId, Scenario, to_seconds
+from .detection import detect_global, run_local_pipeline
+from .scenario import NodeId, Scenario, to_seconds
 from .simulator import simulate
-from .twig import build, embed_trace, shortest_path
+from .twig import build
 
 MODES = ("global", "local", "hotd")
 
@@ -57,28 +57,12 @@ def eor(model: OverheadModel, mode: str, hops: Union[int, Sequence[int]]) -> flo
     return attached / payload
 
 
-FlagSource = Union[DetectionReport, Iterable[DetectionReport], Iterable[NodeId]]
-
-
-def _flag_set(source: FlagSource) -> frozenset[NodeId]:
-    if isinstance(source, DetectionReport):
-        return frozenset(source.flagged)
-    items = list(source)
-    if items and isinstance(items[0], DetectionReport):
-        out: set[NodeId] = set()
-        for r in items:
-            out.update(r.flagged)
-        return frozenset(out)
-    return frozenset(items)  # already a collection of node ids
-
-
-def score(source: FlagSource, truth: Union[AttackConfig, Iterable[NodeId]]) -> tuple[float, float]:
+def score(flagged: Iterable[NodeId], truth: Iterable[NodeId]) -> tuple[float, float]:
     """(precision, recall) of a flag set against the ground-truth attacker set."""
-    flagged = _flag_set(source)
-    truth_set = truth.attackers() if isinstance(truth, AttackConfig) else frozenset(truth)
-    hits = len(flagged & truth_set)
+    flagged, truth = frozenset(flagged), frozenset(truth)
+    hits = len(flagged & truth)
     precision = 1.0 if not flagged else hits / len(flagged)
-    recall = 1.0 if not truth_set else hits / len(truth_set)
+    recall = 1.0 if not truth else hits / len(truth)
     return precision, recall
 
 
@@ -158,19 +142,17 @@ def evaluate_scenario(
             fp_weight=None, sp_weight=None, physical_arrival=None,
             runtime=timings,
         )
-    fp = embed_trace(g, trace)
-    sp = shortest_path(g, fp.vertices[0], s.destination, now=trace.hops[0].reception_time)
     greport = detect_global(g, trace)
     lscan = run_local_pipeline(s, g, trace)
-    gprec, grec = score(greport, s.attack)
-    lprec, lrec = score(lscan.reports, s.attack)
+    gprec, grec = score(greport.flagged, s.attack.attackers())
+    lprec, lrec = score(lscan.merged_flagged(), s.attack.attackers())
     h = trace.hop_count
     return MetricsReport(
         delivered=True,
         hop_count=h,
         path=tuple(s.label(n) for n in trace.path),
-        fp_weight=to_seconds(fp.total_weight),
-        sp_weight=None if sp is None else to_seconds(sp.total_weight),
+        fp_weight=to_seconds(greport.fp_weight),
+        sp_weight=None if greport.sp_weight is None else to_seconds(greport.sp_weight),
         physical_arrival=None if trace.physical_arrival is None
         else to_seconds(trace.physical_arrival),
         eor={mode: eor(model, mode, h) for mode in MODES},

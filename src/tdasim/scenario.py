@@ -135,9 +135,6 @@ class Scenario:
         except KeyError:
             return str(node)
 
-    def windows_of(self, node: NodeId) -> list[TimeWindow]:
-        return [w for w in self.windows if w.touches(node)]
-
     def without_attack(self) -> "Scenario":
         return replace(self, attack=AttackConfig({}))
 
@@ -356,6 +353,13 @@ def _convert(convert: Callable, value, what: str):
         raise ScenarioError(f"{what}: invalid value {value!r}") from exc
 
 
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("not finite")
+    return x
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
@@ -378,17 +382,19 @@ def scenario_from_dict(data: dict) -> Scenario:
         if "id" not in nd:
             raise ScenarioError("node entry missing id")
         what = f"node {nd['id']}"
+        if not isinstance(nd.get("name", ""), str):
+            raise ScenarioError(f"{what} name: invalid value {nd['name']!r}")
         wps = None
         if "waypoints" in nd:
-            wps = _convert(lambda points: tuple(Waypoint(float(x), float(y), float(z), to_us(t))
+            wps = _convert(lambda points: tuple(Waypoint(*map(_finite, (x, y, z)), to_us(t))
                                                 for x, y, z, t in points),
                            nd["waypoints"], f"{what} waypoints")
         nodes.append(Node(
             id=_convert(int, nd["id"], "node id"),
             kind=_convert(NodeKind, nd.get("kind", "uav"), f"{what} kind"),
             name=nd.get("name"), waypoints=wps,
-            range_m=_convert(float, nd["range"], f"{what} range") if "range" in nd else None,
-            speed=_convert(float, nd["speed"], f"{what} speed") if "speed" in nd else None,
+            range_m=_convert(_finite, nd["range"], f"{what} range") if "range" in nd else None,
+            speed=_convert(_finite, nd["speed"], f"{what} speed") if "speed" in nd else None,
         ))
     windows = []
     for wd in data["windows"]:

@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from .scenario import NodeId, Scenario, ScenarioError, to_seconds, to_us
-from .twig import Twig, TwigVertex, build, shortest_path
+from typing import Callable
+
+from .scenario import NodeId, Scenario, ScenarioError, _convert, to_seconds, to_us
+from .twig import Twig, TwigVertex, _search, build, shortest_path
 
 
 @dataclass(frozen=True)
@@ -116,39 +118,24 @@ def _retarget(s: Scenario, holder: NodeId, planned: int, eps: int) -> tuple[int,
     return None
 
 
-def benign_next_hop(
-    s: Scenario,
-    g: Twig,
-    holder: NodeId,
-    now: int,
-    receive_window: int | None = None,
-) -> tuple[NodeId, int] | None:
+def benign_next_hop(s: Scenario, g: Twig, holder: NodeId, now: int) -> tuple[NodeId, int] | None:
     """First physical hop a benign holder would take at the given instant.
 
-    With receive_window set, the decision anchors at that graph vertex exactly
-    as the simulator does.  Without it, every usable window of the holder is
-    scored by waiting time plus the restricted shortest-path weight from its
-    vertex, tie-broken by hop count and then vertex sequence.
+    One search is seeded with every usable window of the holder at its waiting
+    time, so the winner has the least waiting time plus restricted
+    shortest-path weight, tie-broken by hop count and then vertex sequence.
     """
-    if receive_window is not None:
-        plan = _plan(s, g, holder, now, receive_window)
-        return None if plan is None else (plan[0], plan[1])
-    best: tuple[tuple[int, int, tuple[tuple[int, int], ...]], int] | None = None
-    for w in g.windows_of_node(holder):
-        if not g.usable(w.wid, now):
-            continue
-        if holder == s.source and g.original_of(w.wid).start < s.creation_time:
-            continue  # the source transmits only in windows opening after creation
-        sp = shortest_path(g, TwigVertex(holder, w.wid), s.destination, now=now)
-        if sp is None:
-            continue
-        wait = max(w.start, now) - now
-        rank = (wait + sp.total_weight, sp.hops, tuple(v.key for v in sp.vertices))
-        if best is None or rank < best[0]:
-            best = (rank, w.wid)
-    if best is None:
+    seeds = [
+        (max(w.start, now) - now, (holder, w.wid))
+        for w in g.windows_of_node(holder)
+        if g.usable(w.wid, now)
+        # the source transmits only in windows opening after creation
+        and not (holder == s.source and g.original_of(w.wid).start < s.creation_time)
+    ]
+    found = _search(g, seeds, s.destination, now)
+    if found is None:
         return None
-    wid = best[1]
+    wid = found[2][0][1]  # the seed window the winning path starts from
     return g.window(wid).other(holder), wid
 
 
@@ -194,29 +181,40 @@ def trace_to_dict(t: PacketTrace) -> dict:
     }
 
 
+def _optional(convert: Callable) -> Callable:
+    return lambda value: None if value is None else convert(value)
+
+
 def trace_from_dict(data: dict) -> PacketTrace:
+    if not isinstance(data, dict):
+        raise ScenarioError("trace document must be a JSON object")
     unknown = set(data) - _TRACE_KEYS
     if unknown:
         raise ScenarioError(f"unknown trace keys: {sorted(unknown)}")
     try:
+        if not isinstance(data["hops"], list) or not all(isinstance(h, dict) for h in data["hops"]):
+            raise ScenarioError("trace hops must be a list of objects")
+        if not isinstance(data["delivered"], bool):
+            raise ScenarioError(f"trace delivered: invalid value {data['delivered']!r}")
         hops = []
-        for hd in data["hops"]:
+        for i, hd in enumerate(data["hops"]):
             bad = set(hd) - _HOP_KEYS
             if bad:
                 raise ScenarioError(f"unknown hop keys: {sorted(bad)}")
             hops.append(HopRecord(
-                node=int(hd["node"]),
-                reception_time=to_us(hd["t"]),
-                window=None if hd.get("window") is None else int(hd["window"]),
-                send_time_of_prev=None if hd.get("sent_at") is None else to_us(hd["sent_at"]),
+                node=_convert(int, hd["node"], f"hop {i} node"),
+                reception_time=_convert(to_us, hd["t"], f"hop {i} t"),
+                window=_convert(_optional(int), hd.get("window"), f"hop {i} window"),
+                send_time_of_prev=_convert(_optional(to_us), hd.get("sent_at"),
+                                           f"hop {i} sent_at"),
             ))
-        arrival = data.get("physical_arrival")
         return PacketTrace(
-            source=int(data["source"]),
-            destination=int(data["destination"]),
+            source=_convert(int, data["source"], "trace source"),
+            destination=_convert(int, data["destination"], "trace destination"),
             hops=tuple(hops),
-            delivered=bool(data["delivered"]),
-            physical_arrival=None if arrival is None else to_us(arrival),
+            delivered=data["delivered"],
+            physical_arrival=_convert(_optional(to_us), data.get("physical_arrival"),
+                                      "trace physical_arrival"),
         )
     except KeyError as exc:
         raise ScenarioError(f"trace missing key {exc}") from exc

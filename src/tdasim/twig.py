@@ -299,23 +299,36 @@ def shortest_path(
     """
     if not g._has_vertex(start):
         raise ValueError(f"vertex {start} is not in the graph")
-    if start.node == to_node:
-        return TwigPath((start,), 0, ())
-    # (weight, hops, key sequence) is a total order: arc order cannot change the result
-    heap: list[tuple[int, int, tuple[tuple[NodeId, int], ...]]] = [(0, 0, (start.key,))]
+    found = _search(g, [(0, start.key)], to_node, now)
+    if found is None:
+        return None
+    weight, _, keys = found
+    verts = tuple(TwigVertex(n, w) for n, w in keys)
+    arc_weights = tuple(g.arc_weight(a, b) for a, b in zip(verts, verts[1:]))
+    assert None not in arc_weights
+    return TwigPath(verts, weight, arc_weights)
+
+
+def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: NodeId,
+            now: int | None) -> tuple[int, int, tuple[tuple[NodeId, int], ...]] | None:
+    """Least (weight, hops, key sequence) label reaching to_node, or None.
+
+    Each seed (offset, key) starts a path at that vertex with the offset as
+    its weight, so one search ranks every seed at once.  The order is total
+    and survives extension by an arc, so arc order cannot change the result.
+    """
+    heap = [(offset, 0, (key,)) for offset, key in seeds]
+    heapq.heapify(heap)
     done: set[tuple[NodeId, int]] = set()
     while heap:
-        weight, hops, keys = heapq.heappop(heap)
+        weight, hops, keys = label = heapq.heappop(heap)
         v = keys[-1]
         if v in done:
             continue
         done.add(v)
         node, wid = v
         if node == to_node:
-            verts = tuple(TwigVertex(n, w) for n, w in keys)
-            arc_weights = tuple(g.arc_weight(a, b) for a, b in zip(verts, verts[1:]))
-            assert None not in arc_weights
-            return TwigPath(verts, weight, arc_weights)
+            return label
         crossable = now is None or g.usable(wid, now)
         for v2, w, origin in g._out(node, wid):
             if v2 in done:

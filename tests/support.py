@@ -2,9 +2,9 @@
 
 The oracles in here deliberately avoid the production code: the path oracle
 enumerates every simple path by depth-first search and ranks them with the
-documented ordering, and the arc oracle wires every edge of the same-node
-closure explicitly, so the arcs the graph derives on demand can be checked
-against it.
+documented ordering, the next-hop oracle runs it once per usable window of
+the holder, and the arc oracle wires every edge of the same-node closure
+explicitly, so the arcs the graph derives on demand can be checked against it.
 """
 
 from __future__ import annotations
@@ -110,6 +110,32 @@ def oracle_shortest(g: Twig, start: TwigVertex, to_node: int, now: int | None = 
 
     walk(start, 0, (start.key,), {start})
     return best
+
+
+def oracle_benign_next_hop(s: Scenario, g: Twig, holder: int, now: int):
+    """The per-window fan-out the seeded search replaced, ranked by the oracle.
+
+    Every usable window of the holder is scored by waiting time plus the
+    restricted shortest-path weight from its vertex, tie-broken by hop count
+    and then vertex sequence.
+    """
+    best = None
+    for w in g.windows_of_node(holder):
+        if not g.usable(w.wid, now):
+            continue
+        if holder == s.source and g.original_of(w.wid).start < s.creation_time:
+            continue  # the source transmits only in windows opening after creation
+        sp = oracle_shortest(g, TwigVertex(holder, w.wid), s.destination, now=now)
+        if sp is None:
+            continue
+        wait = max(w.start, now) - now
+        rank = (wait + sp[0], sp[1], sp[2])
+        if best is None or rank < best[0]:
+            best = (rank, w.wid)
+    if best is None:
+        return None
+    wid = best[1]
+    return g.window(wid).other(holder), wid
 
 
 def random_small_twig(rng: random.Random, max_vertices: int = 12) -> Twig:

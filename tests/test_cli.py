@@ -228,9 +228,17 @@ def _demo_doc(edit) -> str:
         _demo_doc(lambda d: d.update(windows=5)),
         _demo_doc(lambda d: d.update(attack={"x": 1.0})),
         _demo_doc(lambda d: d.update(t_tr="abc")),
+        _demo_doc(lambda d: d["nodes"][0].update(name=[1, 2])),
+        _demo_doc(lambda d: d["nodes"][0].update(name=5)),
+        _demo_doc(lambda d: d["nodes"][0].update(range=float("nan"))),
+        _demo_doc(lambda d: d["nodes"][0].update(range=float("inf"))),
+        _demo_doc(lambda d: d["nodes"][0].update(speed=float("nan"))),
+        _demo_doc(lambda d: d["nodes"][0].update(waypoints=[[float("nan"), 0, 0, 0]])),
+        _demo_doc(lambda d: d["nodes"][0].update(waypoints=[[0, float("-inf"), 0, 0]])),
     ],
     ids=["missing-keys", "nan-time", "inf-time", "nodes-not-objects", "windows-not-list",
-         "attack-key-not-int", "t_tr-not-number"],
+         "attack-key-not-int", "t_tr-not-number", "name-list", "name-number", "nan-range",
+         "inf-range", "nan-speed", "nan-waypoint", "inf-waypoint"],
 )
 def test_invalid_scenario_exits_2(text, tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import A, B, C, D, E, F, S, make_demo, wid_of_label
+from support import (
+    A, B, C, D, E, F, S, make_demo, oracle_benign_next_hop, random_small_twig, wid_of_label,
+)
 from tdasim import (
+    Node,
+    Scenario,
     ScenarioError,
     benign_next_hop,
     build,
@@ -24,6 +29,7 @@ from tdasim import (
     trace_to_dict,
     window_misses,
 )
+from tdasim.simulator import _plan
 
 SEC = to_us(1)
 
@@ -124,19 +130,38 @@ def test_benign_next_hop_source_respects_creation(demo, demo_graph):
     assert benign_next_hop(late, demo_graph, S, 9 * SEC) == (A, 2)
 
 
-def test_benign_next_hop_with_receive_window_matches_simulator(demo, demo_graph):
+def test_plan_from_receive_window_matches_simulator(demo, demo_graph):
     g = demo_graph
     trace = simulate(demo, g)
     for prev, nxt in zip(trace.hops, trace.hops[1:]):
         if prev.window is None:
             continue
-        hop = benign_next_hop(demo, g, prev.node, prev.reception_time,
-                              receive_window=prev.window)
-        assert hop == (nxt.node, nxt.window)
+        neighbor, wid, _ = _plan(demo, g, prev.node, prev.reception_time, prev.window)
+        assert (neighbor, wid) == (nxt.node, nxt.window)
 
 
 def test_benign_next_hop_dead_end(demo, demo_graph):
     assert benign_next_hop(demo, demo_graph, S, 1000 * SEC) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_benign_next_hop_matches_fan_out_oracle(seed):
+    rng = random.Random(seed)
+    g = random_small_twig(rng)
+    n_nodes = max(max(w.a, w.b) for w in g.originals) + 1
+    source, destination = rng.sample(range(n_nodes), 2)
+    s = Scenario(
+        nodes=tuple(Node(i) for i in range(n_nodes)),
+        windows=g.originals,
+        t_tr=g.t_tr,
+        source=source,
+        destination=destination,
+        creation_time=to_us(rng.randint(0, 60)),
+    )
+    holder = source if rng.random() < 0.5 else rng.randrange(n_nodes)
+    now = to_us(rng.randint(0, 90))
+    assert benign_next_hop(s, g, holder, now) == oracle_benign_next_hop(s, g, holder, now)
 
 
 def test_window_misses(demo, demo_graph):
@@ -173,6 +198,31 @@ def test_trace_from_dict_rejects_unknown_keys(demo, demo_graph):
         trace_from_dict(bad)
     with pytest.raises(ScenarioError, match="missing"):
         trace_from_dict({k: v for k, v in data.items() if k != "source"})
+
+
+def _trace_doc(edit):
+    data = trace_to_dict(simulate(make_demo()))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _trace_doc(lambda d: d.update(hops=5)),
+        _trace_doc(lambda d: d.update(hops=[5])),
+        _trace_doc(lambda d: d["hops"][0].update(node=[1])),
+        _trace_doc(lambda d: d["hops"][1].update(t=float("inf"))),
+        _trace_doc(lambda d: d["hops"][1].update(window="x")),
+        _trace_doc(lambda d: d.update(delivered="no")),
+        [],
+    ],
+    ids=["hops-not-list", "hop-not-object", "node-not-int", "inf-time", "window-not-int",
+         "delivered-not-bool", "not-object"],
+)
+def test_trace_from_dict_rejects_malformed_values(data):
+    with pytest.raises(ScenarioError):
+        trace_from_dict(data)
 
 
 def test_trace_validation():
