@@ -14,14 +14,16 @@ from pathlib import Path
 from typing import Sequence
 
 from .detection import (
+    DetectionReport,
     InconsistentTrace,
+    LocalScan,
     detect_global,
     local_scan_to_dict,
     report_to_dict,
     run_local_pipeline,
 )
 from .generate import GenerationError, GenerationParams, generate, preset_params
-from .metrics import MODES, OverheadModel, eor, evaluate_scenario
+from .metrics import MODES, OverheadModel, _fold, eor, evaluate_scenario
 from .scenario import Scenario, ScenarioError, dumps, load_scenario, scenario_to_dict
 from .simulator import PacketTrace, simulate, trace_to_dict
 from .twig import EmbeddingError, Twig, build, graph_to_dict, to_dot
@@ -137,16 +139,25 @@ def _require_scenario(cfg: RunConfig, parser: _Parser, stage: str) -> Scenario:
     return load_scenario(cfg.scenario_path)
 
 
-def _detect_payload(s: Scenario, g: Twig, trace: PacketTrace, mode: str) -> dict:
+def _judge(s: Scenario, g: Twig, trace: PacketTrace,
+           mode: str = "both") -> tuple[DetectionReport | None, LocalScan | None]:
+    """The detectors the mode asks for, run on a delivered trace (None for the other)."""
     if not trace.delivered:
         raise InconsistentTrace(
             "detect: the message was dropped before the destination; nothing to judge"
         )
+    greport = detect_global(g, trace) if mode != "local" else None
+    lscan = run_local_pipeline(s, g, trace) if mode != "global" else None
+    return greport, lscan
+
+
+def _detect_payload(s: Scenario, greport: DetectionReport | None, lscan: LocalScan | None,
+                    mode: str) -> dict:
     payload: dict = {}
     if mode in ("global", "both"):
-        payload["global"] = report_to_dict(detect_global(g, trace), s.label)
+        payload["global"] = report_to_dict(greport, s.label)
     if mode in ("local", "both"):
-        payload["local"] = local_scan_to_dict(run_local_pipeline(s, g, trace), s.label)
+        payload["local"] = local_scan_to_dict(lscan, s.label)
     return payload[mode] if mode != "both" else payload
 
 
@@ -173,7 +184,8 @@ def _cmd_simulate(cfg: RunConfig, parser: _Parser) -> None:
 def _cmd_detect(cfg: RunConfig, parser: _Parser) -> None:
     s = _require_scenario(cfg, parser, "detect")
     g = build(s.windows, s.t_tr)
-    _emit(dumps(_detect_payload(s, g, simulate(s, g), cfg.mode)), cfg.out)
+    greport, lscan = _judge(s, g, simulate(s, g), cfg.mode)
+    _emit(dumps(_detect_payload(s, greport, lscan, cfg.mode)), cfg.out)
 
 
 def _eor_text(hops: tuple[int, ...], fmt: str) -> str:
@@ -221,10 +233,11 @@ def _cmd_all(cfg: RunConfig, parser: _Parser) -> None:
     (outdir / "graph.json").write_text(dumps(graph_to_dict(g)), encoding="utf-8")
     trace = simulate(s, g)
     (outdir / "trace.json").write_text(dumps(trace_to_dict(trace)), encoding="utf-8")
-    (outdir / "detect.json").write_text(dumps(_detect_payload(s, g, trace, cfg.mode)),
+    greport, lscan = _judge(s, g, trace)
+    (outdir / "detect.json").write_text(dumps(_detect_payload(s, greport, lscan, cfg.mode)),
                                         encoding="utf-8")
-    (outdir / "metrics.json").write_text(
-        dumps(evaluate_scenario(s, timing_repeats=0).to_dict()), encoding="utf-8")
+    report = _fold(s, trace, greport, lscan, OverheadModel(), {})
+    (outdir / "metrics.json").write_text(dumps(report.to_dict()), encoding="utf-8")
 
 
 _COMMANDS = {

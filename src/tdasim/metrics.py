@@ -13,9 +13,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-from .detection import detect_global, run_local_pipeline
+from .detection import DetectionReport, LocalScan, detect_global, run_local_pipeline
 from .scenario import NodeId, Scenario, to_seconds
-from .simulator import simulate
+from .simulator import PacketTrace, simulate
 from .twig import build
 
 MODES = ("global", "local", "hotd")
@@ -142,8 +142,13 @@ def evaluate_scenario(
             fp_weight=None, sp_weight=None, physical_arrival=None,
             runtime=timings,
         )
-    greport = detect_global(g, trace)
-    lscan = run_local_pipeline(s, g, trace)
+    return _fold(s, trace, detect_global(g, trace), run_local_pipeline(s, g, trace),
+                 model, timings)
+
+
+def _fold(s: Scenario, trace: PacketTrace, greport: DetectionReport, lscan: LocalScan,
+          model: OverheadModel, timings: dict[str, float]) -> MetricsReport:
+    """The report of a delivered trace from both detectors' results on it."""
     gprec, grec = score(greport.flagged, s.attack.attackers())
     lprec, lrec = score(lscan.merged_flagged(), s.attack.attackers())
     h = trace.hop_count

@@ -353,6 +353,21 @@ def _convert(convert: Callable, value, what: str):
         raise ScenarioError(f"{what}: invalid value {value!r}") from exc
 
 
+def _json_int(value) -> int:
+    """An id written as a JSON integer: no float, boolean or string stands in for one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
+def _key_int(key: str) -> int:
+    """An id written as a JSON object key, which must be its canonical decimal form."""
+    value = int(key)
+    if str(value) != key:
+        raise ValueError(f"not a canonical integer: {key!r}")
+    return value
+
+
 def _finite(value) -> float:
     x = float(value)
     if not math.isfinite(x):
@@ -390,7 +405,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                                                 for x, y, z, t in points),
                            nd["waypoints"], f"{what} waypoints")
         nodes.append(Node(
-            id=_convert(int, nd["id"], "node id"),
+            id=_convert(_json_int, nd["id"], "node id"),
             kind=_convert(NodeKind, nd.get("kind", "uav"), f"{what} kind"),
             name=nd.get("name"), waypoints=wps,
             range_m=_convert(_finite, nd["range"], f"{what} range") if "range" in nd else None,
@@ -406,21 +421,23 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"window entry missing keys: {sorted(missing)}")
         what = f"window {wd['wid']}"
         windows.append(TimeWindow(
-            wid=_convert(int, wd["wid"], "window id"),
-            a=_convert(int, wd["a"], f"{what} a"), b=_convert(int, wd["b"], f"{what} b"),
+            wid=_convert(_json_int, wd["wid"], "window id"),
+            a=_convert(_json_int, wd["a"], f"{what} a"),
+            b=_convert(_json_int, wd["b"], f"{what} b"),
             start=_convert(to_us, wd["start"], f"{what} start"),
             end=_convert(to_us, wd["end"], f"{what} end"),
         ))
     attack = AttackConfig({
-        _convert(int, node, "attack node id"): _convert(to_us, delay, f"attack delay of {node}")
+        _convert(_key_int, node, "attack node id"):
+            _convert(to_us, delay, f"attack delay of {node}")
         for node, delay in data.get("attack", {}).items()
     })
     s = Scenario(
         nodes=tuple(nodes),
         windows=tuple(windows),
         t_tr=_convert(to_us, data["t_tr"], "t_tr"),
-        source=_convert(int, data["source"], "source"),
-        destination=_convert(int, data["destination"], "destination"),
+        source=_convert(_json_int, data["source"], "source"),
+        destination=_convert(_json_int, data["destination"], "destination"),
         creation_time=_convert(to_us, data.get("creation_time", 0), "creation_time"),
         attack=attack,
     )

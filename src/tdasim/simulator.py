@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .scenario import NodeId, Scenario, ScenarioError, _convert, to_seconds, to_us
+from .scenario import NodeId, Scenario, ScenarioError, _convert, _json_int, to_seconds, to_us
 from .twig import Twig, TwigVertex, _search, build, shortest_path
 
 
@@ -202,15 +202,15 @@ def trace_from_dict(data: dict) -> PacketTrace:
             if bad:
                 raise ScenarioError(f"unknown hop keys: {sorted(bad)}")
             hops.append(HopRecord(
-                node=_convert(int, hd["node"], f"hop {i} node"),
+                node=_convert(_json_int, hd["node"], f"hop {i} node"),
                 reception_time=_convert(to_us, hd["t"], f"hop {i} t"),
-                window=_convert(_optional(int), hd.get("window"), f"hop {i} window"),
+                window=_convert(_optional(_json_int), hd.get("window"), f"hop {i} window"),
                 send_time_of_prev=_convert(_optional(to_us), hd.get("sent_at"),
                                            f"hop {i} sent_at"),
             ))
         return PacketTrace(
-            source=_convert(int, data["source"], "trace source"),
-            destination=_convert(int, data["destination"], "trace destination"),
+            source=_convert(_json_int, data["source"], "trace source"),
+            destination=_convert(_json_int, data["destination"], "trace destination"),
             hops=tuple(hops),
             delivered=data["delivered"],
             physical_arrival=_convert(_optional(to_us), data.get("physical_arrival"),

@@ -13,6 +13,7 @@ of physical packet traces both operate on this graph.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -72,7 +73,12 @@ class TwigPath:
 
 @dataclass
 class Twig:
-    """Immutable after build(); all query methods are read-only."""
+    """Immutable after build(); all query methods are read-only.
+
+    Holds the split pieces and O(pieces) index state over them, never arcs:
+    vertex ids in key order, and per vertex its window start, its
+    within-window mate and where its same-node arcs begin in its node's run.
+    """
 
     split_windows: tuple[TimeWindow, ...]
     provenance: Mapping[int, int]  # split wid -> original wid
@@ -92,10 +98,32 @@ class Twig:
             by_pair.setdefault(w.pair, []).append(w)
         self._by_node = {n: tuple(sorted(ws, key=_wkey)) for n, ws in by_node.items()}
         self._by_pair = {p: tuple(sorted(ws, key=_wkey)) for p, ws in by_pair.items()}
-        self.vertices = tuple(sorted(
-            {TwigVertex(w.a, w.wid) for w in self.split_windows}
-            | {TwigVertex(w.b, w.wid) for w in self.split_windows}
-        ))
+        # vertex i is keys[i]: ids follow key order, so comparing id sequences
+        # compares key sequences and the search's tie-break is unchanged
+        keys = tuple(sorted([(w.a, w.wid) for w in self.split_windows]
+                            + [(w.b, w.wid) for w in self.split_windows]))
+        self.vertices = tuple(TwigVertex(n, wid) for n, wid in keys)
+        self._keys = keys
+        self._ix = ix = {key: i for i, key in enumerate(keys)}
+        windows = [self._piece[wid] for _, wid in keys]
+        self._start = [w.start for w in windows]
+        self._mate = [ix[(w.other(n), w.wid)] for (n, _), w in zip(keys, windows)]
+        # a node's run: its vertex ids sorted by window end, with their window
+        # starts alongside; the same-node arcs of u go to the run's vertices
+        # other than u whose window ends after u's starts, a suffix found by
+        # bisection, and weigh the gap between the two starts
+        ids_of: dict[NodeId, list[int]] = {}
+        for i, (n, _) in enumerate(keys):
+            ids_of.setdefault(n, []).append(i)
+        self._run: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * len(keys)
+        self._run_from = [0] * len(keys)
+        for ids in ids_of.values():
+            ids.sort(key=lambda i: windows[i].end)
+            ends = [windows[i].end for i in ids]
+            run = (tuple(ids), tuple([windows[i].start for i in ids]))
+            for i in ids:
+                self._run[i] = run
+                self._run_from[i] = bisect_right(ends, windows[i].start)
 
     def window(self, wid: int) -> TimeWindow:
         return self._piece[wid]
@@ -117,8 +145,7 @@ class Twig:
         return self._by_pair.get(pair, ())
 
     def _has_vertex(self, v: TwigVertex) -> bool:
-        w = self._piece.get(v.wid)
-        return w is not None and w.touches(v.node)
+        return v.key in self._ix
 
     def arcs_from(self, v: TwigVertex) -> Sequence[tuple[TwigVertex, int, EdgeOrigin]]:
         """Arcs leaving v as (target, weight, origin), ordered by target key."""
@@ -135,11 +162,14 @@ class Twig:
 
     def _out(self, node: NodeId, wid: int) -> Iterator[tuple[tuple[int, int], int, EdgeOrigin]]:
         """Arcs leaving vertex (node, wid) as (target key, weight, origin), unordered."""
-        w = self._piece[wid]
-        for node2, w2 in [(w.other(node), w), *((node, w2) for w2 in self._by_node[node])]:
-            arc = _arc(self.t_tr, node, w, node2, w2)
-            if arc is not None:
-                yield (node2, w2.wid), arc[0], arc[1]
+        u = self._ix[(node, wid)]
+        keys, start, end = self._keys, self._start[u], self._piece[wid].end
+        yield keys[self._mate[u]], self.t_tr, EdgeOrigin.WITHIN_WINDOW
+        ids, starts = self._run[u]
+        for k in range(self._run_from[u], len(ids)):
+            if ids[k] != u:
+                origin = EdgeOrigin.SUCCESSION if end <= starts[k] else EdgeOrigin.CONTAINMENT
+                yield keys[ids[k]], abs(starts[k] - start), origin
 
     @property
     def edges(self) -> tuple[TwigEdge, ...]:
@@ -316,26 +346,33 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
     Each seed (offset, key) starts a path at that vertex with the offset as
     its weight, so one search ranks every seed at once.  The order is total
     and survives extension by an arc, so arc order cannot change the result.
+    Labels carry vertex ids, whose order is the key order.
     """
-    heap = [(offset, 0, (key,)) for offset, key in seeds]
+    keys, start, mate, run, run_from = g._keys, g._start, g._mate, g._run, g._run_from
+    t_tr = g.t_tr
+    heap = [(offset, 0, (g._ix[key],)) for offset, key in seeds]
     heapq.heapify(heap)
-    done: set[tuple[NodeId, int]] = set()
+    push, pop = heapq.heappush, heapq.heappop
+    done = bytearray(len(keys))
     while heap:
-        weight, hops, keys = label = heapq.heappop(heap)
-        v = keys[-1]
-        if v in done:
+        weight, hops, path = pop(heap)
+        u = path[-1]
+        if done[u]:
             continue
-        done.add(v)
-        node, wid = v
+        done[u] = 1
+        node, wid = keys[u]
         if node == to_node:
-            return label
-        crossable = now is None or g.usable(wid, now)
-        for v2, w, origin in g._out(node, wid):
-            if v2 in done:
-                continue
-            if origin is EdgeOrigin.WITHIN_WINDOW and not crossable:
-                continue
-            heapq.heappush(heap, (weight + w, hops + 1, keys + (v2,)))
+            return weight, hops, tuple(keys[i] for i in path)
+        hops += 1
+        v = mate[u]
+        if not done[v] and (now is None or g.usable(wid, now)):
+            push(heap, (weight + t_tr, hops, path + (v,)))
+        s = start[u]
+        ids, starts = run[u]
+        for k in range(run_from[u], len(ids)):
+            v = ids[k]
+            if not done[v]:  # u itself is done
+                push(heap, (weight + abs(starts[k] - s), hops, path + (v,)))
     return None
 
 

@@ -235,10 +235,20 @@ def _demo_doc(edit) -> str:
         _demo_doc(lambda d: d["nodes"][0].update(speed=float("nan"))),
         _demo_doc(lambda d: d["nodes"][0].update(waypoints=[[float("nan"), 0, 0, 0]])),
         _demo_doc(lambda d: d["nodes"][0].update(waypoints=[[0, float("-inf"), 0, 0]])),
+        _demo_doc(lambda d: d["windows"][0].update(wid=1.9)),
+        _demo_doc(lambda d: d["windows"][0].update(a="0")),
+        _demo_doc(lambda d: d["windows"][0].update(b=True)),
+        _demo_doc(lambda d: d["nodes"][0].update(id=0.0)),
+        _demo_doc(lambda d: d.update(source=True)),
+        _demo_doc(lambda d: d.update(destination=6.0)),
+        _demo_doc(lambda d: d.update(attack={"01": 5.0})),
+        _demo_doc(lambda d: d.update(attack={"+1": 5.0})),
     ],
     ids=["missing-keys", "nan-time", "inf-time", "nodes-not-objects", "windows-not-list",
          "attack-key-not-int", "t_tr-not-number", "name-list", "name-number", "nan-range",
-         "inf-range", "nan-speed", "nan-waypoint", "inf-waypoint"],
+         "inf-range", "nan-speed", "nan-waypoint", "inf-waypoint", "wid-float", "a-string",
+         "b-bool", "node-id-float", "source-bool", "destination-float", "attack-key-padded",
+         "attack-key-signed"],
 )
 def test_invalid_scenario_exits_2(text, tmp_path, capsys):
     bad = tmp_path / "bad.json"

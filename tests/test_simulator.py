@@ -216,9 +216,15 @@ def _trace_doc(edit):
         _trace_doc(lambda d: d["hops"][1].update(window="x")),
         _trace_doc(lambda d: d.update(delivered="no")),
         [],
+        _trace_doc(lambda d: d["hops"][1].update(window=2.7)),
+        _trace_doc(lambda d: d["hops"][0].update(node="0")),
+        _trace_doc(lambda d: d["hops"][1].update(node=True)),
+        _trace_doc(lambda d: d.update(source=False)),
+        _trace_doc(lambda d: d.update(destination=6.0)),
     ],
     ids=["hops-not-list", "hop-not-object", "node-not-int", "inf-time", "window-not-int",
-         "delivered-not-bool", "not-object"],
+         "delivered-not-bool", "not-object", "window-float", "node-string", "node-bool",
+         "source-bool", "destination-float"],
 )
 def test_trace_from_dict_rejects_malformed_values(data):
     with pytest.raises(ScenarioError):

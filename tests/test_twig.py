@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -457,6 +459,25 @@ def test_derived_arcs_match_oracle_on_fixed_graphs(demo_graph):
     v1, v4 = TwigVertex(0, 1), TwigVertex(0, 4)
     assert g.arc_weight(v1, v4) == 10 * SEC
     assert g.arc_weight(v4, v1) is None
+    # splitting leaves node 0 two pieces with the identical span [5, 10]
+    g = build((TimeWindow(1, 0, 1, 0, 10 * SEC), TimeWindow(2, 0, 2, 5 * SEC, 15 * SEC)), SEC)
+    node0 = sorted((w.start, w.end) for w in g.windows_of_node(0))
+    assert node0.count((5 * SEC, 10 * SEC)) == 2
+    assert_arcs_match_oracle(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(0, 4),
+                          st.integers(1, 3)), min_size=2, max_size=8))
+def test_same_node_runs_match_oracle(spans):
+    """Many windows among few nodes on a 5 s grid: every vertex's arcs, read from
+    its node's run, against the explicit wiring, where touching windows, equal
+    spans and identical-span split pieces are the common case."""
+    windows = tuple(
+        TimeWindow(wid, a, a + d, 5 * lo * SEC, 5 * (lo + n) * SEC)
+        for wid, (a, d, lo, n) in enumerate(spans, start=1)
+    )
+    assert_arcs_match_oracle(build(windows, SEC))
 
 
 @settings(max_examples=80, deadline=None)
@@ -468,6 +489,29 @@ def test_derived_arcs_match_oracle_on_random_graphs(seed, coarse):
     else:
         g = random_small_twig(rng, max_vertices=30)
     assert_arcs_match_oracle(g)
+
+
+def test_build_memory_is_linear():
+    """The graph keeps O(pieces) state: doubling a staircase of overlapping
+    windows about doubles what build retains (stored arcs would quadruple it)."""
+    chain = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+
+    def retained(k: int) -> int:
+        windows = tuple(  # 10.5 s windows starting every second along the chain
+            TimeWindow(i + 1, *chain[i % len(chain)], i * SEC, i * SEC + 21 * SEC // 2)
+            for i in range(k)
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = build(windows, SEC)
+            assert g.vertices
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    assert retained(60) < 2.5 * retained(30)
 
 
 def test_split_spans_independent_of_input_order():
