@@ -101,6 +101,8 @@ def _config(args: argparse.Namespace, parser: _Parser) -> RunConfig:
             parser.error(f"--hops must be comma-separated integers, got {raw!r}")
         if not hops or any(h < 1 for h in hops):
             parser.error("--hops entries must be positive")
+    if getattr(args, "runs", 1) < 1:
+        parser.error(f"--runs must be positive, got {args.runs}")
     return RunConfig(
         command=args.command,
         scenario_path=getattr(args, "scenario", None),

@@ -450,16 +450,24 @@ def save_scenario(s: Scenario, path: str | Path) -> None:
     Path(path).write_text(dumps(scenario_to_dict(s)), encoding="utf-8")
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def _read_json(path: str | Path, what: str):
+    """The JSON document in a file, or a ScenarioError naming what could not be read."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+        raise ScenarioError(f"cannot read {what} file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{what} file is not UTF-8 text: {exc}") from exc
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a syntax error, or an integer literal longer than the
+        # interpreter converts; RecursionError: nesting deeper than it parses
+        raise ScenarioError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return scenario_from_dict(_read_json(path, "scenario"))
 
 
 def dumps(obj: dict) -> str:

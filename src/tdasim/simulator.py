@@ -10,12 +10,12 @@ neighbor, applying the same delay there.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .scenario import NodeId, Scenario, ScenarioError, _convert, _json_int, to_seconds, to_us
+from .scenario import (NodeId, Scenario, ScenarioError, _convert, _json_int, _read_json,
+                       to_seconds, to_us)
 from .twig import Twig, TwigVertex, _search, build, shortest_path
 
 
@@ -223,4 +223,4 @@ def trace_from_dict(data: dict) -> PacketTrace:
 
 
 def load_trace(path: str | Path) -> PacketTrace:
-    return trace_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return trace_from_dict(_read_json(path, "trace"))

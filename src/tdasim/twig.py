@@ -13,7 +13,7 @@ of physical packet traces both operate on this graph.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -249,7 +249,7 @@ def _window_labels(pieces: Iterable[TimeWindow], provenance: Mapping[int, int]) 
 # construction
 
 def build(windows: Sequence[TimeWindow], t_tr: int) -> Twig:
-    """Split partially overlapping windows to a fixpoint; arcs follow from the pieces."""
+    """Split partially overlapping windows in one sweep; arcs follow from the pieces."""
     if t_tr <= 0:
         raise ValueError("t_tr must be positive")
     wids = [w.wid for w in windows]
@@ -265,40 +265,37 @@ def build(windows: Sequence[TimeWindow], t_tr: int) -> Twig:
 
 
 def _split(windows: Sequence[TimeWindow]) -> tuple[list[TimeWindow], dict[int, int]]:
-    # records: [start, end, orig wid, a, b, birth order]; birth order keeps
-    # the rescans deterministic when spans coincide
-    recs = [[w.start, w.end, w.wid, w.a, w.b, i] for i, w in enumerate(windows)]
-    birth = len(recs)
-    while True:
-        recs.sort(key=lambda r: (r[0], r[1], r[2], r[5]))
-        found = None
-        for i, p in enumerate(recs):
-            for q in recs[i + 1:]:
-                if q[0] >= p[1]:
-                    break  # sorted by start: no later window can overlap p
-                if p[0] < q[0] < p[1] < q[1]:
-                    found = (p, q)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        p, q = found
-        cut_lo, cut_hi = q[0], p[1]
-        recs.remove(p)
-        recs.remove(q)
-        recs.append([p[0], cut_lo, p[2], p[3], p[4], birth]); birth += 1
-        recs.append([cut_lo, cut_hi, p[2], p[3], p[4], birth]); birth += 1
-        recs.append([cut_lo, cut_hi, q[2], q[3], q[4], birth]); birth += 1
-        recs.append([cut_hi, q[1], q[2], q[3], q[4], birth]); birth += 1
-    by_orig: dict[int, list[list[int]]] = {}
-    for r in recs:
+    # records (start, end, orig wid, a, b) stay sorted, and every record before
+    # the cursor partially overlaps no later one; a cut's pieces reuse only p's
+    # and q's endpoints, so no earlier record can overlap them and the sweep
+    # resumes at the first piece, [p.start, q.start]
+    recs = sorted((w.start, w.end, w.wid, w.a, w.b) for w in windows)
+    i = 0
+    while i < len(recs):
+        p = recs[i]
+        # (p[1],) sorts before every record starting at p's end, so j runs over
+        # the later records that start before p ends
+        for j in range(i + 1, bisect_left(recs, (p[1],), i + 1)):
+            q = recs[j]
+            if p[0] < q[0] and p[1] < q[1]:
+                break  # the first later record p partially overlaps
+        else:
+            i += 1
+            continue
+        del recs[j], recs[i]
+        cut = [(p[0], q[0], *p[2:]), (q[0], p[1], *p[2:]),
+               (q[0], p[1], *q[2:]), (p[1], q[1], *q[2:])]
+        for r in cut:
+            insort(recs, r)
+        i = bisect_left(recs, cut[0])
+    by_orig: dict[int, list[tuple[int, ...]]] = {}
+    for r in recs:  # in start order, so each original's pieces are too
         by_orig.setdefault(r[2], []).append(r)
     next_wid = max((w.wid for w in windows), default=0) + 1
     pieces: list[TimeWindow] = []
     provenance: dict[int, int] = {}
     for w in windows:
-        parts = sorted(by_orig[w.wid], key=lambda r: r[0])
+        parts = by_orig[w.wid]
         if len(parts) == 1:
             pieces.append(w)
             provenance[w.wid] = w.wid
@@ -470,17 +467,19 @@ def graph_to_dict(g: Twig) -> dict:
 
 def to_dot(g: Twig, node_label: Callable[[NodeId], str] = str) -> str:
     """Render the graph in DOT form; undirected edges are drawn without arrowheads."""
+    def quoted(v: TwigVertex) -> str:
+        label = g.vertex_label(v, node_label)
+        return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["digraph twig {"]
     for v in g.vertices:
-        lines.append(f'  "{g.vertex_label(v, node_label)}";')
+        lines.append(f"  {quoted(v)};")
     for e in g.edges:
-        lu = g.vertex_label(e.u, node_label)
-        lv = g.vertex_label(e.v, node_label)
         attrs = f'label="{to_seconds(e.weight):g}"'
         if e.kind is EdgeKind.UNDIRECTED:
             attrs += ", dir=none"
         if e.origin is EdgeOrigin.CONTAINMENT:
             attrs += ", style=dashed"
-        lines.append(f'  "{lu}" -> "{lv}" [{attrs}];')
+        lines.append(f"  {quoted(e.u)} -> {quoted(e.v)} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,13 +3,15 @@
 The oracles in here deliberately avoid the production code: the path oracle
 enumerates every simple path by depth-first search and ranks them with the
 documented ordering, the next-hop oracle runs it once per usable window of
-the holder, and the arc oracle wires every edge of the same-node closure
-explicitly, so the arcs the graph derives on demand can be checked against it.
+the holder, the arc oracle wires every edge of the same-node closure
+explicitly, so the arcs the graph derives on demand can be checked against it,
+and the split oracle cuts one pair at a time, rescanning from scratch.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from tdasim import (
     AttackConfig,
@@ -207,3 +209,51 @@ def oracle_arcs(edges):
     for lst in arcs.values():
         lst.sort(key=lambda item: item[0].key)
     return arcs, arc_weight
+
+
+def oracle_split(windows: Sequence[TimeWindow]) -> tuple[list[TimeWindow], dict[int, int]]:
+    """The restart-from-scratch split the sweep in ``twig._split`` replaced:
+    after every cut it re-sorts all records and rescans from the first one."""
+    # records: [start, end, orig wid, a, b, birth order]; birth order keeps
+    # the rescans deterministic when spans coincide
+    recs = [[w.start, w.end, w.wid, w.a, w.b, i] for i, w in enumerate(windows)]
+    birth = len(recs)
+    while True:
+        recs.sort(key=lambda r: (r[0], r[1], r[2], r[5]))
+        found = None
+        for i, p in enumerate(recs):
+            for q in recs[i + 1:]:
+                if q[0] >= p[1]:
+                    break  # sorted by start: no later window can overlap p
+                if p[0] < q[0] < p[1] < q[1]:
+                    found = (p, q)
+                    break
+            if found:
+                break
+        if not found:
+            break
+        p, q = found
+        cut_lo, cut_hi = q[0], p[1]
+        recs.remove(p)
+        recs.remove(q)
+        recs.append([p[0], cut_lo, p[2], p[3], p[4], birth]); birth += 1
+        recs.append([cut_lo, cut_hi, p[2], p[3], p[4], birth]); birth += 1
+        recs.append([cut_lo, cut_hi, q[2], q[3], q[4], birth]); birth += 1
+        recs.append([cut_hi, q[1], q[2], q[3], q[4], birth]); birth += 1
+    by_orig: dict[int, list[list[int]]] = {}
+    for r in recs:
+        by_orig.setdefault(r[2], []).append(r)
+    next_wid = max((w.wid for w in windows), default=0) + 1
+    pieces: list[TimeWindow] = []
+    provenance: dict[int, int] = {}
+    for w in windows:
+        parts = sorted(by_orig[w.wid], key=lambda r: r[0])
+        if len(parts) == 1:
+            pieces.append(w)
+            provenance[w.wid] = w.wid
+            continue
+        for r in parts:
+            pieces.append(TimeWindow(wid=next_wid, a=w.a, b=w.b, start=r[0], end=r[1]))
+            provenance[next_wid] = w.wid
+            next_wid += 1
+    return pieces, provenance

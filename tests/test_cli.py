@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from support import A, C, make_demo
+import tdasim
 from tdasim import save_scenario, scenario_to_dict
 from tdasim.cli import main
 
@@ -159,10 +162,14 @@ def test_all_from_preset_composes(tmp_path, capsys):
 
 
 def test_console_entry_point(demo_file):
+    # the child must import the same package as this process, installed or not
+    package_root = str(Path(tdasim.__file__).resolve().parent.parent)
+    path = [package_root, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     proc = subprocess.run(
         [sys.executable, "-m", "tdasim.cli", "simulate", "--scenario", demo_file],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["delivered"] is True
@@ -188,6 +195,8 @@ def test_console_entry_point(demo_file):
         ["all"],  # no out
         ["graph", "--format", "yaml"],
         ["detect", "--mode", "sideways"],
+        ["metrics", "--preset", "table2-row1", "--runs", "0"],
+        ["metrics", "--preset", "table2-row1", "--runs", "-2"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -243,16 +252,19 @@ def _demo_doc(edit) -> str:
         _demo_doc(lambda d: d.update(destination=6.0)),
         _demo_doc(lambda d: d.update(attack={"01": 5.0})),
         _demo_doc(lambda d: d.update(attack={"+1": 5.0})),
+        b"\xff\xfe" + _demo_doc(lambda d: None).encode("utf-16-le"),
+        "[" * 100_000,
+        _demo_doc(lambda d: None).replace('"source": 0,', '"source": ' + "1" * 5000 + ","),
     ],
     ids=["missing-keys", "nan-time", "inf-time", "nodes-not-objects", "windows-not-list",
          "attack-key-not-int", "t_tr-not-number", "name-list", "name-number", "nan-range",
          "inf-range", "nan-speed", "nan-waypoint", "inf-waypoint", "wid-float", "a-string",
          "b-bool", "node-id-float", "source-bool", "destination-float", "attack-key-padded",
-         "attack-key-signed"],
+         "attack-key-signed", "utf16-bom", "deep-nesting", "long-integer"],
 )
 def test_invalid_scenario_exits_2(text, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(text)
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert main(["graph", "--scenario", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -188,6 +188,20 @@ def test_trace_json_is_loadable(tmp_path, demo, demo_graph):
     assert load_trace(path) == trace
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, b"{not json", b"\xff\xfe{}", b"[" * 100_000,
+     b'{"source": ' + b"1" * 5000 + b"}"],
+    ids=["missing", "syntax", "not-utf8", "deep-nesting", "long-integer"],
+)
+def test_load_trace_rejects_unreadable_files(content, tmp_path):
+    path = tmp_path / "trace.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ScenarioError, match="trace file"):
+        load_trace(path)
+
+
 def test_trace_from_dict_rejects_unknown_keys(demo, demo_graph):
     data = trace_to_dict(simulate(demo, demo_graph))
     with pytest.raises(ScenarioError, match="bogus"):

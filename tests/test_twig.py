@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -25,6 +26,7 @@ from support import (
     oracle_arcs,
     oracle_edges,
     oracle_shortest,
+    oracle_split,
     random_small_twig,
     vertex,
     wid_of_label,
@@ -45,6 +47,7 @@ from tdasim import (
     to_dot,
     to_us,
 )
+from tdasim.twig import _split
 
 SEC = to_us(1)
 
@@ -114,7 +117,8 @@ def test_nested_windows_stay_whole():
 
 def test_chained_splits_reach_fixpoint():
     # three windows of one node in a staircase: the middle one splits against
-    # both neighbors, and the rescan must settle without partial overlaps
+    # both neighbors, and the pieces of the first cut must be cut again until
+    # no partial overlap is left
     windows = (
         TimeWindow(1, 0, 1, 0, 10 * SEC),
         TimeWindow(2, 1, 2, 5 * SEC, 15 * SEC),
@@ -129,6 +133,49 @@ def test_chained_splits_reach_fixpoint():
         parts = [w for w in g.split_windows if g.original_of(w.wid).wid == orig.wid]
         assert min(w.start for w in parts) == orig.start
         assert max(w.end for w in parts) == orig.end
+
+
+def assert_split_matches_oracle(windows) -> None:
+    pieces, provenance = _split(windows)
+    want_pieces, want_provenance = oracle_split(windows)
+    assert pieces == want_pieces
+    assert list(provenance.items()) == list(want_provenance.items())
+
+
+def test_split_cuts_the_earliest_pair_first():
+    # cutting ([0,10], [7,12]) first would leave window 2 as [5,7] and [7,20];
+    # the earliest pair in (start, end, wid) order is ([0,10], [5,20])
+    windows = (
+        TimeWindow(1, 0, 1, 0, 10 * SEC),
+        TimeWindow(2, 1, 2, 5 * SEC, 20 * SEC),
+        TimeWindow(3, 2, 3, 7 * SEC, 12 * SEC),
+    )
+    assert_split_matches_oracle(windows)
+    pieces, provenance = _split(windows)
+    assert [(w.start // SEC, w.end // SEC) for w in pieces if provenance[w.wid] == 2] == [
+        (5, 10), (10, 20)]
+
+
+@st.composite
+def grid_windows(draw):
+    """1-12 windows among 5 nodes on a 1, 2 or 5 s grid, with random ids, in
+    random order: touching, nested and identical spans are common."""
+    unit = draw(st.sampled_from([1, 2, 5])) * SEC
+    n = draw(st.integers(1, 12))
+    wids = draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n, unique=True))
+    windows = []
+    for wid in wids:
+        a = draw(st.integers(0, 3))
+        b = draw(st.integers(a + 1, 4))
+        lo = draw(st.integers(0, 8))
+        windows.append(TimeWindow(wid, a, b, lo * unit, (lo + draw(st.integers(1, 6))) * unit))
+    return draw(st.permutations(windows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_windows())
+def test_split_matches_rescan_oracle(windows):
+    assert_split_matches_oracle(windows)
 
 
 def test_build_rejects_bad_input():
@@ -491,16 +538,21 @@ def test_derived_arcs_match_oracle_on_random_graphs(seed, coarse):
     assert_arcs_match_oracle(g)
 
 
+def staircase(k: int) -> tuple[TimeWindow, ...]:
+    """k windows of 10.5 s, one starting every second, along a 7-node chain."""
+    chain = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+    return tuple(
+        TimeWindow(i + 1, *chain[i % len(chain)], i * SEC, i * SEC + 21 * SEC // 2)
+        for i in range(k)
+    )
+
+
 def test_build_memory_is_linear():
     """The graph keeps O(pieces) state: doubling a staircase of overlapping
     windows about doubles what build retains (stored arcs would quadruple it)."""
-    chain = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
 
     def retained(k: int) -> int:
-        windows = tuple(  # 10.5 s windows starting every second along the chain
-            TimeWindow(i + 1, *chain[i % len(chain)], i * SEC, i * SEC + 21 * SEC // 2)
-            for i in range(k)
-        )
+        windows = staircase(k)
         gc.collect()
         tracemalloc.start()
         try:
@@ -512,6 +564,16 @@ def test_build_memory_is_linear():
             tracemalloc.stop()
 
     assert retained(60) < 2.5 * retained(30)
+
+
+def test_build_time_on_a_large_staircase():
+    """240 staircase windows split into 3240 pieces: a split whose time grows
+    with the pieces, not with cuts times records, builds them well inside 3 s."""
+    t0 = time.perf_counter()
+    g = build(staircase(240), SEC)
+    elapsed = time.perf_counter() - t0
+    assert len(g.split_windows) == 3240
+    assert elapsed < 3.0, f"build took {elapsed:.2f} s"
 
 
 def test_split_spans_independent_of_input_order():
@@ -549,3 +611,12 @@ def test_to_dot(demo_graph):
     assert dot.startswith("digraph")
     assert "dashed" in dot  # containment styling
     assert "S^1" in dot or "S" in dot
+
+
+def test_to_dot_escapes_quotes_and_backslashes(demo_graph):
+    dot = to_dot(demo_graph, lambda n: 'a"b\\' if n == S else "SABCDEF"[n])
+    assert '  "a\\"b\\\\^1";' in dot
+    assert '"a"b' not in dot
+    # names without either character render as before
+    plain = to_dot(demo_graph, lambda n: "SABCDEF"[n])
+    assert '  "S^1";' in plain and "\\" not in plain
