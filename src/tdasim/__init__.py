@@ -64,11 +64,8 @@ from .simulator import (
     window_misses,
 )
 from .twig import (
-    EdgeKind,
-    EdgeOrigin,
     EmbeddingError,
     Twig,
-    TwigEdge,
     TwigPath,
     TwigVertex,
     build,
@@ -81,12 +78,12 @@ from .twig import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Alert", "AttackConfig", "DetectionReport", "EdgeKind", "EdgeOrigin",
+    "Alert", "AttackConfig", "DetectionReport",
     "EmbeddingError", "GenerationError", "GenerationParams", "GlobalCheck",
     "HopMetadata", "HopRecord", "InconsistentTrace", "LocalCheck", "LocalScan",
     "MetricsReport", "MICROS", "MODES", "NeighborTables", "Node", "NodeId", "NodeKind",
     "OverheadModel", "PacketTrace", "PRESETS", "RelayInfo", "Scenario",
-    "ScenarioError", "TimeWindow", "Twig", "TwigEdge", "TwigPath", "TwigVertex",
+    "ScenarioError", "TimeWindow", "Twig", "TwigPath", "TwigVertex",
     "Waypoint", "benign_next_hop", "build", "derive_windows", "detect_global",
     "detect_local", "earliest_arrival", "embed_trace", "eor", "evaluate_scenario",
     "generate", "graph_to_dict", "load_scenario", "load_trace", "local_scan_to_dict",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -24,6 +25,20 @@ NodeId = int
 
 class ScenarioError(ValueError):
     """Raised when a scenario file or value violates the schema or an invariant."""
+
+
+_REPR = reprlib.Repr()
+_REPR.maxlevel = 2
+
+
+def _brief(value) -> str:
+    """repr(value) cut to one short line, for quoting an input in an error message.
+
+    reprlib stops at a few elements and levels, so a huge or deeply nested
+    value costs little and cannot overflow the stack.
+    """
+    text = _REPR.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def to_us(seconds: float) -> int:
@@ -74,9 +89,9 @@ class TimeWindow:
 
     def __post_init__(self) -> None:
         if self.a == self.b:
-            raise ScenarioError(f"window {self.wid}: endpoints must differ")
+            raise ScenarioError(f"window {_brief(self.wid)}: endpoints must differ")
         if self.start >= self.end:
-            raise ScenarioError(f"window {self.wid}: start must precede end")
+            raise ScenarioError(f"window {_brief(self.wid)}: start must precede end")
 
     @property
     def duration(self) -> int:
@@ -150,13 +165,14 @@ def validate_scenario(s: Scenario) -> None:
     for n in s.nodes:
         if n.waypoints is not None:
             if len(n.waypoints) == 0:
-                raise ScenarioError(f"node {n.id}: empty waypoint list")
+                raise ScenarioError(f"node {_brief(n.id)}: empty waypoint list")
             ts = [w.t for w in n.waypoints]
             if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ScenarioError(f"node {n.id}: waypoint times must strictly increase")
+                raise ScenarioError(f"node {_brief(n.id)}: waypoint times must strictly increase")
             if n.kind is NodeKind.TOWER:
                 if len(n.waypoints) != 1 or n.waypoints[0].z != 0.0:
-                    raise ScenarioError(f"node {n.id}: a tower has one waypoint at altitude 0")
+                    raise ScenarioError(
+                        f"node {_brief(n.id)}: a tower has one waypoint at altitude 0")
     if s.t_tr <= 0:
         raise ScenarioError("t_tr must be positive")
     wids = [w.wid for w in s.windows]
@@ -164,9 +180,9 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError("window ids must be unique")
     for w in s.windows:
         if w.a not in known or w.b not in known:
-            raise ScenarioError(f"window {w.wid}: endpoint references unknown node")
+            raise ScenarioError(f"window {_brief(w.wid)}: endpoint references unknown node")
         if w.duration < s.t_tr:
-            raise ScenarioError(f"window {w.wid}: shorter than one transmission time")
+            raise ScenarioError(f"window {_brief(w.wid)}: shorter than one transmission time")
     if s.source not in known:
         raise ScenarioError("source references unknown node")
     if s.destination not in known:
@@ -175,11 +191,11 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError("source and destination must differ")
     for node, eps in s.attack.delays.items():
         if node not in known:
-            raise ScenarioError(f"attack entry references unknown node {node}")
+            raise ScenarioError(f"attack entry references unknown node {_brief(node)}")
         if node == s.destination:
             raise ScenarioError("destination cannot carry an attack delay")
         if eps < 0:
-            raise ScenarioError(f"attack delay for node {node} must be non-negative")
+            raise ScenarioError(f"attack delay for node {_brief(node)} must be non-negative")
     if earliest_arrival(s).get(s.destination) is None:
         raise ScenarioError("no contact window sequence connects source to destination")
 
@@ -350,7 +366,7 @@ def _convert(convert: Callable, value, what: str):
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{what}: invalid value {value!r}") from exc
+        raise ScenarioError(f"{what}: invalid value {_brief(value)}") from exc
 
 
 def _json_int(value) -> int:
@@ -380,7 +396,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     unknown = set(data) - _TOP_KEYS
     if unknown:
-        raise ScenarioError(f"unknown top-level keys: {sorted(unknown)}")
+        raise ScenarioError(f"unknown top-level keys: {_brief(sorted(unknown))}")
     for key in ("nodes", "windows", "t_tr", "source", "destination"):
         if key not in data:
             raise ScenarioError(f"missing required key: {key}")
@@ -393,12 +409,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     for nd in data["nodes"]:
         bad = set(nd) - _NODE_KEYS
         if bad:
-            raise ScenarioError(f"node entry has unknown keys: {sorted(bad)}")
+            raise ScenarioError(f"node entry has unknown keys: {_brief(sorted(bad))}")
         if "id" not in nd:
             raise ScenarioError("node entry missing id")
-        what = f"node {nd['id']}"
+        what = f"node {_brief(nd['id'])}"
         if not isinstance(nd.get("name", ""), str):
-            raise ScenarioError(f"{what} name: invalid value {nd['name']!r}")
+            raise ScenarioError(f"{what} name: invalid value {_brief(nd['name'])}")
         wps = None
         if "waypoints" in nd:
             wps = _convert(lambda points: tuple(Waypoint(*map(_finite, (x, y, z)), to_us(t))
@@ -415,11 +431,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     for wd in data["windows"]:
         bad = set(wd) - _WINDOW_KEYS
         if bad:
-            raise ScenarioError(f"window entry has unknown keys: {sorted(bad)}")
+            raise ScenarioError(f"window entry has unknown keys: {_brief(sorted(bad))}")
         missing = _WINDOW_KEYS - set(wd)
         if missing:
             raise ScenarioError(f"window entry missing keys: {sorted(missing)}")
-        what = f"window {wd['wid']}"
+        what = f"window {_brief(wd['wid'])}"
         windows.append(TimeWindow(
             wid=_convert(_json_int, wd["wid"], "window id"),
             a=_convert(_json_int, wd["a"], f"{what} a"),
@@ -427,11 +443,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             start=_convert(to_us, wd["start"], f"{what} start"),
             end=_convert(to_us, wd["end"], f"{what} end"),
         ))
-    attack = AttackConfig({
-        _convert(_key_int, node, "attack node id"):
-            _convert(to_us, delay, f"attack delay of {node}")
-        for node, delay in data.get("attack", {}).items()
-    })
+    delays = {}
+    for key, delay in data.get("attack", {}).items():
+        node = _convert(_key_int, key, "attack node id")
+        delays[node] = _convert(to_us, delay, f"attack delay of {_brief(node)}")
     s = Scenario(
         nodes=tuple(nodes),
         windows=tuple(windows),
@@ -439,7 +454,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         source=_convert(_json_int, data["source"], "source"),
         destination=_convert(_json_int, data["destination"], "destination"),
         creation_time=_convert(to_us, data.get("creation_time", 0), "creation_time"),
-        attack=attack,
+        attack=AttackConfig(delays),
     )
     validate_scenario(s)
     return s

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .scenario import (NodeId, Scenario, ScenarioError, _convert, _json_int, _read_json,
+from .scenario import (NodeId, Scenario, ScenarioError, _brief, _convert, _json_int, _read_json,
                        to_seconds, to_us)
 from .twig import Twig, TwigVertex, _search, build, shortest_path
 
@@ -190,17 +190,17 @@ def trace_from_dict(data: dict) -> PacketTrace:
         raise ScenarioError("trace document must be a JSON object")
     unknown = set(data) - _TRACE_KEYS
     if unknown:
-        raise ScenarioError(f"unknown trace keys: {sorted(unknown)}")
+        raise ScenarioError(f"unknown trace keys: {_brief(sorted(unknown))}")
     try:
         if not isinstance(data["hops"], list) or not all(isinstance(h, dict) for h in data["hops"]):
             raise ScenarioError("trace hops must be a list of objects")
         if not isinstance(data["delivered"], bool):
-            raise ScenarioError(f"trace delivered: invalid value {data['delivered']!r}")
+            raise ScenarioError(f"trace delivered: invalid value {_brief(data['delivered'])}")
         hops = []
         for i, hd in enumerate(data["hops"]):
             bad = set(hd) - _HOP_KEYS
             if bad:
-                raise ScenarioError(f"unknown hop keys: {sorted(bad)}")
+                raise ScenarioError(f"unknown hop keys: {_brief(sorted(bad))}")
             hops.append(HopRecord(
                 node=_convert(_json_int, hd["node"], f"hop {i} node"),
                 reception_time=_convert(to_us, hd["t"], f"hop {i} t"),

@@ -5,9 +5,9 @@ windows is either disjoint, nested, or identical in span.  Each surviving
 window contributes one vertex per endpoint node joined by an undirected
 within-window edge of weight t_tr; windows sharing a node are joined by
 directed succession edges or undirected containment edges whose weight is the
-difference of their start times; only the pieces are stored, and each arc is
-derived from the two pieces it joins.  Shortest-path queries and the embedding
-of physical packet traces both operate on this graph.
+difference of their start times.  Only the pieces and an int index over them
+are stored: shortest-path queries, the embedding of physical packet traces and
+the JSON and DOT dumps all read arcs from that index.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .scenario import NodeId, TimeWindow, to_seconds
@@ -28,17 +27,6 @@ class EmbeddingError(ValueError):
     """A packet trace cannot be realized as a walk in the graph."""
 
 
-class EdgeKind(str, Enum):
-    UNDIRECTED = "undirected"
-    DIRECTED = "directed"
-
-
-class EdgeOrigin(str, Enum):
-    WITHIN_WINDOW = "within_window"
-    SUCCESSION = "succession"
-    CONTAINMENT = "containment"
-
-
 @dataclass(frozen=True, order=True)
 class TwigVertex:
     node: NodeId
@@ -47,15 +35,6 @@ class TwigVertex:
     @property
     def key(self) -> tuple[int, int]:
         return (self.node, self.wid)
-
-
-@dataclass(frozen=True)
-class TwigEdge:
-    u: TwigVertex
-    v: TwigVertex
-    kind: EdgeKind
-    weight: int
-    origin: EdgeOrigin
 
 
 @dataclass(frozen=True)
@@ -147,45 +126,10 @@ class Twig:
     def _has_vertex(self, v: TwigVertex) -> bool:
         return v.key in self._ix
 
-    def arcs_from(self, v: TwigVertex) -> Sequence[tuple[TwigVertex, int, EdgeOrigin]]:
-        """Arcs leaving v as (target, weight, origin), ordered by target key."""
-        if not self._has_vertex(v):
-            return ()
-        return [(TwigVertex(*key), weight, origin)
-                for key, weight, origin in sorted(self._out(v.node, v.wid))]
-
     def arc_weight(self, u: TwigVertex, v: TwigVertex) -> int | None:
         if not (self._has_vertex(u) and self._has_vertex(v)):
             return None
-        arc = _arc(self.t_tr, u.node, self._piece[u.wid], v.node, self._piece[v.wid])
-        return None if arc is None else arc[0]
-
-    def _out(self, node: NodeId, wid: int) -> Iterator[tuple[tuple[int, int], int, EdgeOrigin]]:
-        """Arcs leaving vertex (node, wid) as (target key, weight, origin), unordered."""
-        u = self._ix[(node, wid)]
-        keys, start, end = self._keys, self._start[u], self._piece[wid].end
-        yield keys[self._mate[u]], self.t_tr, EdgeOrigin.WITHIN_WINDOW
-        ids, starts = self._run[u]
-        for k in range(self._run_from[u], len(ids)):
-            if ids[k] != u:
-                origin = EdgeOrigin.SUCCESSION if end <= starts[k] else EdgeOrigin.CONTAINMENT
-                yield keys[ids[k]], abs(starts[k] - start), origin
-
-    @property
-    def edges(self) -> tuple[TwigEdge, ...]:
-        """Every edge once, in (u, v) key order, derived from the pieces on each
-        access.  An undirected edge runs from the lower node id across a
-        window, and from the containing window into the inner one."""
-        out = []
-        for u in self.vertices:
-            wu = self._piece[u.wid]
-            for v, weight, origin in self.arcs_from(u):
-                wv = self._piece[v.wid]
-                if origin is EdgeOrigin.SUCCESSION:
-                    out.append(TwigEdge(u, v, EdgeKind.DIRECTED, weight, origin))
-                elif (u.node, wu.start, -wu.end, u.wid) < (v.node, wv.start, -wv.end, v.wid):
-                    out.append(TwigEdge(u, v, EdgeKind.UNDIRECTED, weight, origin))
-        return tuple(out)
+        return _arc(self.t_tr, u.node, self._piece[u.wid], v.node, self._piece[v.wid])
 
     def usable(self, wid: int, now: int) -> bool:
         """Could a transmission over this split window start no earlier than now?
@@ -211,10 +155,8 @@ def _wkey(w: TimeWindow) -> tuple[int, int, int]:
     return (w.start, w.end, w.wid)
 
 
-def _arc(
-    t_tr: int, nu: NodeId, wu: TimeWindow, nv: NodeId, wv: TimeWindow,
-) -> tuple[int, EdgeOrigin] | None:
-    """Weight and origin of the arc from vertex (nu, wu) to (nv, wv), or None.
+def _arc(t_tr: int, nu: NodeId, wu: TimeWindow, nv: NodeId, wv: TimeWindow) -> int | None:
+    """Weight of the arc from vertex (nu, wu) to (nv, wv), or None.
 
     The graph's only arc rules; both vertices must be in the graph.  A
     window's endpoints are joined both ways at cost t_tr.  Two windows of one
@@ -223,12 +165,12 @@ def _arc(
     both ways; either costs the gap between their start times.
     """
     if nu != nv:
-        return (t_tr, EdgeOrigin.WITHIN_WINDOW) if wu.wid == wv.wid else None
+        return t_tr if wu.wid == wv.wid else None
     if wu.end <= wv.start:
-        return (wv.start - wu.start, EdgeOrigin.SUCCESSION)
+        return wv.start - wu.start
     if wv.end <= wu.start or wu.wid == wv.wid:
         return None
-    return (abs(wv.start - wu.start), EdgeOrigin.CONTAINMENT)
+    return abs(wv.start - wu.start)
 
 
 def _window_labels(pieces: Iterable[TimeWindow], provenance: Mapping[int, int]) -> dict[int, str]:
@@ -436,11 +378,37 @@ def _same_node_run(
         raise EmbeddingError(
             f"hop {hop}: node {node} cannot move from window {recv.wid} to {send.wid}"
         )
-    return [(TwigVertex(node, w.wid), arc[0]) for w, arc in zip(run[1:], arcs)]
+    return [(TwigVertex(node, w.wid), arc) for w, arc in zip(run[1:], arcs)]
 
 
 # ---------------------------------------------------------------------------
 # dumps
+
+def _edges(g: Twig) -> Iterator[tuple[int, int, int, str]]:
+    """Every edge once as (u id, v id, weight, origin), in (u, v) key order.
+
+    An undirected edge runs from the lower node id across a window, and from
+    the containing window into the inner one; of two equal spans, the lower
+    wid contains the other.  Succession edges run forward in time.
+    """
+    keys, start, mate, run, run_from = g._keys, g._start, g._mate, g._run, g._run_from
+    end = [g._piece[wid].end for _, wid in keys]
+    for u, (_, wid) in enumerate(keys):
+        s, e = start[u], end[u]
+        ids, starts = run[u]
+        out = []
+        for k in range(run_from[u], len(ids)):
+            v = ids[k]
+            if e <= starts[k]:
+                out.append((v, starts[k] - s, "succession"))
+            elif v != u and (s, -e, wid) < (starts[k], -end[v], keys[v][1]):
+                out.append((v, starts[k] - s, "containment"))
+        out.sort()
+        for v, weight, origin in out:
+            yield u, v, weight, origin
+        if u < mate[u]:  # the mate's node is higher, so its id follows the run's
+            yield u, mate[u], g.t_tr, "within_window"
+
 
 def graph_to_dict(g: Twig) -> dict:
     verts = []
@@ -453,14 +421,15 @@ def graph_to_dict(g: Twig) -> dict:
             "start": to_seconds(w.start),
             "end": to_seconds(w.end),
         })
+    keys = g._keys
     edges = []
-    for e in g.edges:
+    for u, v, weight, origin in _edges(g):
         edges.append({
-            "u": list(e.u.key),
-            "v": list(e.v.key),
-            "kind": e.kind.value,
-            "weight": to_seconds(e.weight),
-            "origin": e.origin.value,
+            "u": list(keys[u]),
+            "v": list(keys[v]),
+            "kind": "directed" if origin == "succession" else "undirected",
+            "weight": to_seconds(weight),
+            "origin": origin,
         })
     return {"t_tr": to_seconds(g.t_tr), "vertices": verts, "edges": edges}
 
@@ -471,15 +440,20 @@ def to_dot(g: Twig, node_label: Callable[[NodeId], str] = str) -> str:
         label = g.vertex_label(v, node_label)
         return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
+    names = [quoted(v) for v in g.vertices]
     lines = ["digraph twig {"]
-    for v in g.vertices:
-        lines.append(f"  {quoted(v)};")
-    for e in g.edges:
-        attrs = f'label="{to_seconds(e.weight):g}"'
-        if e.kind is EdgeKind.UNDIRECTED:
+    for name in names:
+        lines.append(f"  {name};")
+    for u, v, weight, origin in _edges(g):
+        x = to_seconds(weight)
+        text = f"{x:g}"
+        if float(text) != x:  # six significant digits would merge distinct weights
+            text = repr(x)
+        attrs = f'label="{text}"'
+        if origin != "succession":
             attrs += ", dir=none"
-        if e.origin is EdgeOrigin.CONTAINMENT:
+        if origin == "containment":
             attrs += ", style=dashed"
-        lines.append(f"  {quoted(e.u)} -> {quoted(e.v)} [{attrs}];")
+        lines.append(f"  {names[u]} -> {names[v]} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

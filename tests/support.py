@@ -1,11 +1,12 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles in here deliberately avoid the production code: the path oracle
-enumerates every simple path by depth-first search and ranks them with the
-documented ordering, the next-hop oracle runs it once per usable window of
-the holder, the arc oracle wires every edge of the same-node closure
-explicitly, so the arcs the graph derives on demand can be checked against it,
-and the split oracle cuts one pair at a time, rescanning from scratch.
+enumerates every simple path over the oracle's own arcs by depth-first search
+and ranks them with the documented ordering, the next-hop oracle runs it once
+per usable window of the holder, the edge oracle wires every edge of the
+same-node closure explicitly, so the edges the graph dumps and the arcs it
+derives on demand can be checked against it, and the split oracle cuts one
+pair at a time, rescanning from scratch.
 """
 
 from __future__ import annotations
@@ -15,16 +16,14 @@ from typing import Sequence
 
 from tdasim import (
     AttackConfig,
-    EdgeKind,
-    EdgeOrigin,
     Node,
     NodeKind,
     Scenario,
     TimeWindow,
     Twig,
-    TwigEdge,
     TwigVertex,
     build,
+    to_seconds,
     to_us,
 )
 
@@ -90,27 +89,24 @@ def oracle_shortest(g: Twig, start: TwigVertex, to_node: int, now: int | None = 
     """
     if start.node == to_node:
         return (0, 0, (start.key,))
+    arcs, _ = oracle_arcs(oracle_edges(g.split_windows, g.t_tr))
     best = None
 
-    def walk(v: TwigVertex, weight: int, keys, seen) -> None:
+    def walk(key: tuple[int, int], weight: int, keys, seen) -> None:
         nonlocal best
-        if v.node == to_node:
+        if key[0] == to_node:
             cand = (weight, len(keys) - 1, keys)
             if best is None or cand < best:
                 best = cand
             return
-        for v2, w, origin in g.arcs_from(v):
-            if v2 in seen:
+        for key2, w, origin in arcs.get(key, ()):
+            if key2 in seen:
                 continue
-            if (
-                now is not None
-                and origin is EdgeOrigin.WITHIN_WINDOW
-                and not g.usable(v.wid, now)
-            ):
+            if now is not None and origin == "within_window" and not g.usable(key[1], now):
                 continue
-            walk(v2, weight + w, keys + (v2.key,), seen | {v2})
+            walk(key2, weight + w, keys + (key2,), seen | {key2})
 
-    walk(start, 0, (start.key,), {start})
+    walk(start.key, 0, (start.key,), {start.key})
     return best
 
 
@@ -158,15 +154,19 @@ def random_small_twig(rng: random.Random, max_vertices: int = 12) -> Twig:
             return g
 
 
-def oracle_edges(pieces, t_tr: int) -> tuple[TwigEdge, ...]:
-    """Every edge of the graph over these split pieces, wired explicitly."""
-    edges: list[TwigEdge] = []
+def oracle_edges(pieces, t_tr: int) -> list[dict]:
+    """Every edge of the graph over these split pieces, wired explicitly, as the
+    dicts ``graph_to_dict`` writes, sorted by (u, v)."""
+    edges: list[dict] = []
+
+    def edge(u: tuple[int, int], v: tuple[int, int], kind: str, weight: int,
+             origin: str) -> None:
+        edges.append({"u": list(u), "v": list(v), "kind": kind,
+                      "weight": to_seconds(weight), "origin": origin})
+
     for w in pieces:
         lo, hi = sorted((w.a, w.b))
-        edges.append(TwigEdge(
-            TwigVertex(lo, w.wid), TwigVertex(hi, w.wid),
-            EdgeKind.UNDIRECTED, t_tr, EdgeOrigin.WITHIN_WINDOW,
-        ))
+        edge((lo, w.wid), (hi, w.wid), "undirected", t_tr, "within_window")
     by_node: dict[int, list[TimeWindow]] = {}
     for w in pieces:
         by_node.setdefault(w.a, []).append(w)
@@ -176,38 +176,35 @@ def oracle_edges(pieces, t_tr: int) -> tuple[TwigEdge, ...]:
         for i, wi in enumerate(ws):
             for wj in ws[i + 1:]:
                 if wi.end <= wj.start:
-                    edges.append(TwigEdge(
-                        TwigVertex(node, wi.wid), TwigVertex(node, wj.wid),
-                        EdgeKind.DIRECTED, wj.start - wi.start, EdgeOrigin.SUCCESSION,
-                    ))
+                    edge((node, wi.wid), (node, wj.wid), "directed",
+                         wj.start - wi.start, "succession")
                 elif wj.end <= wi.end or wi.start == wj.start:
                     # one span nests inside the other (equal spans included)
                     container, inner = (wi, wj) if wj.end <= wi.end else (wj, wi)
-                    edges.append(TwigEdge(
-                        TwigVertex(node, container.wid), TwigVertex(node, inner.wid),
-                        EdgeKind.UNDIRECTED, inner.start - container.start,
-                        EdgeOrigin.CONTAINMENT,
-                    ))
+                    edge((node, container.wid), (node, inner.wid), "undirected",
+                         inner.start - container.start, "containment")
                 else:
                     raise AssertionError(
                         f"windows {wi.wid} and {wj.wid} still partially overlap after splitting"
                     )
-    return tuple(edges)
+    return sorted(edges, key=lambda e: (e["u"], e["v"]))
 
 
-def oracle_arcs(edges):
-    """(arcs by source vertex, ordered by target key; weight by vertex pair)."""
-    arcs: dict[TwigVertex, list[tuple[TwigVertex, int, EdgeOrigin]]] = {}
-    arc_weight: dict[tuple[TwigVertex, TwigVertex], int] = {}
+def oracle_arcs(edges: list[dict]):
+    """From edge dicts: (arcs by source key (node, wid) as (target key, weight in
+    microseconds, origin), ordered by target key; weight by key pair)."""
+    arcs: dict[tuple[int, int], list[tuple[tuple[int, int], int, str]]] = {}
+    arc_weight: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
     for e in edges:
-        pairs = [(e.u, e.v)]
-        if e.kind is EdgeKind.UNDIRECTED:
-            pairs.append((e.v, e.u))
-        for u, v in pairs:
-            arcs.setdefault(u, []).append((v, e.weight, e.origin))
-            arc_weight[(u, v)] = e.weight
+        u, v, weight = tuple(e["u"]), tuple(e["v"]), to_us(e["weight"])
+        pairs = [(u, v)]
+        if e["kind"] == "undirected":
+            pairs.append((v, u))
+        for a, b in pairs:
+            arcs.setdefault(a, []).append((b, weight, e["origin"]))
+            arc_weight[(a, b)] = weight
     for lst in arcs.values():
-        lst.sort(key=lambda item: item[0].key)
+        lst.sort()
     return arcs, arc_weight
 
 

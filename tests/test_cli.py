@@ -161,18 +161,29 @@ def test_all_from_preset_composes(tmp_path, capsys):
     assert (outdir / "detect.json").read_text() == detect
 
 
-def test_console_entry_point(demo_file):
+def run_cli_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """The command line run in a fresh interpreter, as a user would run it."""
     # the child must import the same package as this process, installed or not
     package_root = str(Path(tdasim.__file__).resolve().parent.parent)
     path = [package_root, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    proc = subprocess.run(
-        [sys.executable, "-m", "tdasim.cli", "simulate", "--scenario", demo_file],
+    return subprocess.run(
+        [sys.executable, "-m", "tdasim.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
     )
+
+
+def test_console_entry_point(demo_file):
+    proc = run_cli_process(["simulate", "--scenario", demo_file])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["delivered"] is True
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in tdasim.__all__ if not hasattr(tdasim, name)]
+    assert missing == []
+    assert len(set(tdasim.__all__)) == len(tdasim.__all__)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +278,27 @@ def test_invalid_scenario_exits_2(text, tmp_path, capsys):
     bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert main(["graph", "--scenario", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _demo_doc(lambda d: None).replace('"t_tr": 1.0,', '"t_tr": ' + "[" * 980 + "]" * 980 + ","),
+        _demo_doc(lambda d: d["windows"][0].update(wid=list(range(3000)))),
+        _demo_doc(lambda d: d["nodes"][0].update(id=list(range(3000)))),
+        _demo_doc(lambda d: d["nodes"][0].update(name=list(range(3000)))),
+        _demo_doc(lambda d: d["windows"][0].update(wid=int("7" * 4000), b=d["windows"][0]["a"])),
+    ],
+    ids=["t_tr-nested", "wid-list", "node-id-list", "name-list", "wid-4000-digits"],
+)
+def test_huge_invalid_values_give_short_errors(text, tmp_path):
+    # a fresh process, whose shallow stack parses the 980 nested lists
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    proc = run_cli_process(["graph", "--scenario", str(bad)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "not valid JSON" not in proc.stderr
+    assert len(proc.stderr.encode("utf-8")) < 200, proc.stderr
 
 
 def test_unknown_preset_exits_2(capsys):

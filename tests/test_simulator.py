@@ -235,14 +235,17 @@ def _trace_doc(edit):
         _trace_doc(lambda d: d["hops"][1].update(node=True)),
         _trace_doc(lambda d: d.update(source=False)),
         _trace_doc(lambda d: d.update(destination=6.0)),
+        _trace_doc(lambda d: d.update(delivered=list(range(3000)))),
+        _trace_doc(lambda d: d["hops"][0].update({f"extra{i}": i for i in range(3000)})),
     ],
     ids=["hops-not-list", "hop-not-object", "node-not-int", "inf-time", "window-not-int",
          "delivered-not-bool", "not-object", "window-float", "node-string", "node-bool",
-         "source-bool", "destination-float"],
+         "source-bool", "destination-float", "delivered-long-list", "many-unknown-keys"],
 )
 def test_trace_from_dict_rejects_malformed_values(data):
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError) as err:
         trace_from_dict(data)
+    assert len(str(err.value)) < 200  # the bad value is quoted, but cut short
 
 
 def test_trace_validation():

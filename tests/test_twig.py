@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import time
 import tracemalloc
@@ -32,8 +33,6 @@ from support import (
     wid_of_label,
 )
 from tdasim import (
-    EdgeKind,
-    EdgeOrigin,
     EmbeddingError,
     HopRecord,
     PacketTrace,
@@ -47,6 +46,7 @@ from tdasim import (
     to_dot,
     to_us,
 )
+from tdasim.scenario import dumps
 from tdasim.twig import _split
 
 SEC = to_us(1)
@@ -193,11 +193,12 @@ def test_demo_graph_shape(demo_graph):
     g = demo_graph
     assert len(g.split_windows) == 11
     assert len(g.vertices) == 22
-    assert len(g.edges) == 39
-    counts = Counter(e.origin for e in g.edges)
-    assert counts[EdgeOrigin.WITHIN_WINDOW] == 11
-    assert counts[EdgeOrigin.SUCCESSION] == 26
-    assert counts[EdgeOrigin.CONTAINMENT] == 2
+    edges = graph_to_dict(g)["edges"]
+    assert len(edges) == 39
+    counts = Counter(e["origin"] for e in edges)
+    assert counts["within_window"] == 11
+    assert counts["succession"] == 26
+    assert counts["containment"] == 2
 
 
 def test_spot_checked_edge_weights(demo_graph):
@@ -215,27 +216,26 @@ def test_spot_checked_edge_weights(demo_graph):
 
 def test_edge_kinds(demo_graph):
     g = demo_graph
-    for e in g.edges:
-        if e.origin is EdgeOrigin.SUCCESSION:
-            assert e.kind is EdgeKind.DIRECTED
+    for e in graph_to_dict(g)["edges"]:
+        (u_node, u_wid), (v_node, v_wid) = e["u"], e["v"]
+        if e["origin"] == "succession":
+            assert e["kind"] == "directed"
         else:
-            assert e.kind is EdgeKind.UNDIRECTED
-        if e.origin is EdgeOrigin.WITHIN_WINDOW:
-            assert e.u.node != e.v.node
-            assert e.u.wid == e.v.wid
-            assert e.weight == g.t_tr
+            assert e["kind"] == "undirected"
+        if e["origin"] == "within_window":
+            assert u_node != v_node
+            assert u_wid == v_wid
+            assert to_us(e["weight"]) == g.t_tr
         else:
-            assert e.u.node == e.v.node
-            assert e.weight >= 0
+            assert u_node == v_node
+            assert e["weight"] >= 0
 
 
 def test_containment_runs_both_ways(demo_graph):
     g = demo_graph
     both = {
-        (g.window_label(u.wid), g.window_label(v.wid))
-        for u, v, in (
-            (e.u, e.v) for e in g.edges if e.origin is EdgeOrigin.CONTAINMENT
-        )
+        (g.window_label(e["u"][1]), g.window_label(e["v"][1]))
+        for e in graph_to_dict(g)["edges"] if e["origin"] == "containment"
     }
     assert both == {("3.1", "4"), ("3.2", "5.1")}
     for u_lbl, v_lbl in both:
@@ -461,23 +461,22 @@ def test_random_graphs_are_sound(seed):
         )
         assert parts[0].start == orig.start and parts[-1].end == orig.end
         assert all(p.end == q.start for p, q in zip(parts, parts[1:]))
-    for e in g.edges:
-        assert e.weight >= 0
-        if e.origin is EdgeOrigin.SUCCESSION:
-            assert g.window(e.u.wid).end <= g.window(e.v.wid).start
-        elif e.origin is EdgeOrigin.CONTAINMENT:
-            inner, outer = g.window(e.v.wid), g.window(e.u.wid)
-            assert outer.start <= inner.start and inner.end <= outer.end
+    for e in graph_to_dict(g)["edges"]:
+        u, v = g.window(e["u"][1]), g.window(e["v"][1])
+        assert e["weight"] >= 0
+        if e["origin"] == "succession":
+            assert u.end <= v.start
+        elif e["origin"] == "containment":
+            assert u.start <= v.start and v.end <= u.end
 
 
 def assert_arcs_match_oracle(g):
     want_edges = oracle_edges(g.split_windows, g.t_tr)
-    assert g.edges == tuple(sorted(want_edges, key=lambda e: (e.u.key, e.v.key)))
-    arcs, weight = oracle_arcs(want_edges)
+    assert graph_to_dict(g)["edges"] == want_edges
+    _, weight = oracle_arcs(want_edges)
     for u in g.vertices:
-        assert list(g.arcs_from(u)) == arcs.get(u, [])
         for v in g.vertices:
-            assert g.arc_weight(u, v) == weight.get((u, v))
+            assert g.arc_weight(u, v) == weight.get((u.key, v.key))
 
 
 def coarse_windows(rng: random.Random) -> tuple[TimeWindow, ...]:
@@ -591,7 +590,7 @@ def test_build_is_deterministic():
     a = build(demo_windows(), SEC)
     b = build(demo_windows(), SEC)
     assert a.split_windows == b.split_windows
-    assert a.edges == b.edges
+    assert graph_to_dict(a)["edges"] == graph_to_dict(b)["edges"]
 
 
 # ---------------------------------------------------------------------------
@@ -620,3 +619,33 @@ def test_to_dot_escapes_quotes_and_backslashes(demo_graph):
     # names without either character render as before
     plain = to_dot(demo_graph, lambda n: "SABCDEF"[n])
     assert '  "S^1";' in plain and "\\" not in plain
+
+
+def test_demo_dump_bytes_are_pinned():
+    """The demo's graph JSON and DOT, byte for byte, as the edge-object layer
+    wrote them before the dumps read edges straight from the vertex index."""
+    s = make_demo()
+    g = build(s.windows, s.t_tr)
+    for text, digest, size in (
+        (dumps(graph_to_dict(g)),
+         "df54acc1647cc1fa76590955ddd631ccd3326aa2ba3269ebec1b7196db74c44e", 9334),
+        (to_dot(g, s.label),
+         "6ecec2437a27c0b63ed4c7b0566d15c988dc52cd624bf40ccb7dd47e647aed20", 1648),
+    ):
+        data = text.encode("utf-8")
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
+
+
+def test_dot_labels_keep_weights_exact():
+    """Weights that six significant digits cannot tell apart print in full;
+    those that :g renders exactly keep their short form."""
+    g = build((
+        TimeWindow(1, 0, 1, 0, 5000 * SEC),
+        TimeWindow(2, 0, 2, to_us(1234.5678), 2000 * SEC),
+        TimeWindow(3, 0, 3, to_us(1234.5679), 2000 * SEC),
+    ), SEC)
+    dot = to_dot(g)
+    assert '"0^1" -> "0^2" [label="1234.5678", dir=none, style=dashed];' in dot
+    assert '"0^1" -> "0^3" [label="1234.5679", dir=none, style=dashed];' in dot
+    assert '"0^2" -> "0^3" [label="0.0001", dir=none, style=dashed];' in dot
+    assert '"0^1" -> "1^1" [label="1", dir=none];' in dot
