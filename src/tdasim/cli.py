@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .detection import (
     DetectionReport,
@@ -22,11 +22,11 @@ from .detection import (
     report_to_dict,
     run_local_pipeline,
 )
-from .generate import GenerationError, GenerationParams, generate, preset_params
+from .generate import GenerationError, generate, preset_params
 from .metrics import MODES, OverheadModel, _fold, eor, evaluate_scenario
 from .scenario import Scenario, ScenarioError, dumps, load_scenario, scenario_to_dict
 from .simulator import PacketTrace, simulate, trace_to_dict
-from .twig import EmbeddingError, Twig, build, graph_to_dict, to_dot
+from .twig import EmbeddingError, Twig, _dot_lines, _graph_json, build
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,14 @@ def _config(args: argparse.Namespace, parser: _Parser) -> RunConfig:
     )
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | Path | None) -> None:
+    """Write text, or its chunks in order, to the file out, or to stdout without one."""
+    chunks = (text,) if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        sys.stdout.writelines(chunks)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
 
 
 def _obtain_scenario(cfg: RunConfig, parser: _Parser, stage: str) -> Scenario:
@@ -173,8 +176,7 @@ def _cmd_generate(cfg: RunConfig, parser: _Parser) -> None:
 def _cmd_graph(cfg: RunConfig, parser: _Parser) -> None:
     s = _require_scenario(cfg, parser, "graph")
     g = build(s.windows, s.t_tr)
-    text = to_dot(g, s.label) if cfg.format == "dot" else dumps(graph_to_dict(g))
-    _emit(text, cfg.out)
+    _emit(_dot_lines(g, s.label) if cfg.format == "dot" else _graph_json(g), cfg.out)
 
 
 def _cmd_simulate(cfg: RunConfig, parser: _Parser) -> None:
@@ -230,16 +232,15 @@ def _cmd_all(cfg: RunConfig, parser: _Parser) -> None:
     s = _obtain_scenario(cfg, parser, "all")
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "scenario.json").write_text(dumps(scenario_to_dict(s)), encoding="utf-8")
+    _emit(dumps(scenario_to_dict(s)), outdir / "scenario.json")
     g = build(s.windows, s.t_tr)
-    (outdir / "graph.json").write_text(dumps(graph_to_dict(g)), encoding="utf-8")
+    _emit(_graph_json(g), outdir / "graph.json")
     trace = simulate(s, g)
-    (outdir / "trace.json").write_text(dumps(trace_to_dict(trace)), encoding="utf-8")
+    _emit(dumps(trace_to_dict(trace)), outdir / "trace.json")
     greport, lscan = _judge(s, g, trace)
-    (outdir / "detect.json").write_text(dumps(_detect_payload(s, greport, lscan, cfg.mode)),
-                                        encoding="utf-8")
+    _emit(dumps(_detect_payload(s, greport, lscan, cfg.mode)), outdir / "detect.json")
     report = _fold(s, trace, greport, lscan, OverheadModel(), {})
-    (outdir / "metrics.json").write_text(dumps(report.to_dict()), encoding="utf-8")
+    _emit(dumps(report.to_dict()), outdir / "metrics.json")
 
 
 _COMMANDS = {

@@ -19,7 +19,6 @@ from .detection import detect_global, run_local_pipeline
 from .scenario import (
     AttackConfig,
     Node,
-    NodeId,
     NodeKind,
     Scenario,
     TimeWindow,

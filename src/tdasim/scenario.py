@@ -12,9 +12,11 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import re
 import reprlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -465,19 +467,38 @@ def save_scenario(s: Scenario, path: str | Path) -> None:
     Path(path).write_text(dumps(scenario_to_dict(s)), encoding="utf-8")
 
 
+_MAX_NESTING = 64
+
+# a JSON string, or one bracket: a bracket inside a string is not structure
+_STRUCTURE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}]', re.DOTALL)
+_NEST = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _nesting(text: str) -> int:
+    """How many lists and objects deep the JSON text nests (0 for a scalar)."""
+    return max(accumulate(map(_NEST.get, _STRUCTURE.findall(text), repeat(0))), default=0)
+
+
 def _read_json(path: str | Path, what: str):
-    """The JSON document in a file, or a ScenarioError naming what could not be read."""
+    """The JSON document in a file, or a ScenarioError naming what could not be read.
+
+    Nesting is capped before parsing: the parser recurses once per level, so
+    without the cap the caller's stack depth would decide whether a deep
+    document parses.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read {what} file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{what} file is not UTF-8 text: {exc}") from exc
+    if _nesting(text) > _MAX_NESTING:
+        raise ScenarioError(f"{what} file nests lists and objects deeper than "
+                            f"{_MAX_NESTING} levels")
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError: a syntax error, or an integer literal longer than the
-        # interpreter converts; RecursionError: nesting deeper than it parses
+    except ValueError as exc:
+        # a syntax error, or an integer literal longer than the interpreter converts
         raise ScenarioError(f"{what} file is not valid JSON: {exc}") from exc
 
 

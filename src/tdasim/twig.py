@@ -15,6 +15,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .scenario import NodeId, TimeWindow, to_seconds
@@ -318,7 +320,7 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
 # ---------------------------------------------------------------------------
 # trace embedding
 
-def embed_trace(g: Twig, trace: "PacketTrace") -> TwigPath:
+def embed_trace(g: Twig, trace: PacketTrace) -> TwigPath:
     """Map a physical hop sequence onto graph vertices.
 
     Each hop crosses the latest split window of its node pair that contains
@@ -434,16 +436,65 @@ def graph_to_dict(g: Twig) -> dict:
     return {"t_tr": to_seconds(g.t_tr), "vertices": verts, "edges": edges}
 
 
+_CHUNK_ROWS = 128
+_VERTEX_ROW = ('    {\n      "node": %d,\n      "wid": %d,\n      "label": %s,\n'
+               '      "start": %r,\n      "end": %r\n    }')
+
+
+def _edge_row(origin: str) -> str:
+    kind = "directed" if origin == "succession" else "undirected"
+    return ('    {\n      "u": [\n        %d,\n        %d\n      ],\n'
+            '      "v": [\n        %d,\n        %d\n      ],\n'
+            f'      "kind": {encode_basestring_ascii(kind)},\n      "weight": %r,\n'
+            f'      "origin": {encode_basestring_ascii(origin)}\n    }}')
+
+
+_EDGE_ROWS = {o: _edge_row(o) for o in ("succession", "containment", "within_window")}
+
+
+def _graph_json(g: Twig) -> Iterator[str]:
+    """The text of dumps(graph_to_dict(g)), in chunks, with no dict per vertex or edge.
+
+    Each vertex and edge is one template row at the indent json.dumps(indent=2)
+    writes, and %r of a float is the repr json writes, so the bytes are equal.
+    """
+    keys, piece, labels = g._keys, g._piece, g._labels
+    yield '{\n  "t_tr": %r,\n  "vertices": ' % to_seconds(g.t_tr)
+    yield from _json_list(
+        _VERTEX_ROW % (node, wid, encode_basestring_ascii(labels[wid]),
+                       to_seconds(piece[wid].start), to_seconds(piece[wid].end))
+        for node, wid in keys)
+    yield ',\n  "edges": '
+    yield from _json_list(
+        _EDGE_ROWS[origin] % (*keys[u], *keys[v], to_seconds(weight))
+        for u, v, weight, origin in _edges(g))
+    yield "\n}\n"
+
+
+def _json_list(rows: Iterator[str]) -> Iterator[str]:
+    """A list one level down in an indent-2 json.dumps document, _CHUNK_ROWS rows at a time."""
+    sep = "[\n"
+    for batch in iter(lambda: list(islice(rows, _CHUNK_ROWS)), []):
+        yield sep + ",\n".join(batch)
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
+
+
 def to_dot(g: Twig, node_label: Callable[[NodeId], str] = str) -> str:
     """Render the graph in DOT form; undirected edges are drawn without arrowheads."""
+    return "".join(_dot_lines(g, node_label))
+
+
+def _dot_lines(g: Twig, node_label: Callable[[NodeId], str]) -> Iterator[str]:
+    """The lines of to_dot's text, each with its newline."""
     def quoted(v: TwigVertex) -> str:
         label = g.vertex_label(v, node_label)
         return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
     names = [quoted(v) for v in g.vertices]
-    lines = ["digraph twig {"]
+    yield "digraph twig {\n"
     for name in names:
-        lines.append(f"  {name};")
+        yield f"  {name};\n"
     for u, v, weight, origin in _edges(g):
         x = to_seconds(weight)
         text = f"{x:g}"
@@ -454,6 +505,5 @@ def to_dot(g: Twig, node_label: Callable[[NodeId], str] = str) -> str:
             attrs += ", dir=none"
         if origin == "containment":
             attrs += ", style=dashed"
-        lines.append(f"  {names[u]} -> {names[v]} [{attrs}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {names[u]} -> {names[v]} [{attrs}];\n"
+    yield "}\n"

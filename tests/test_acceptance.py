@@ -31,7 +31,6 @@ from tdasim import (
     NeighborTables,
     OverheadModel,
     PRESETS,
-    TwigVertex,
     build,
     detect_global,
     detect_local,

@@ -12,7 +12,7 @@ import pytest
 
 from support import A, C, make_demo
 import tdasim
-from tdasim import save_scenario, scenario_to_dict
+from tdasim import build, graph_to_dict, load_scenario, save_scenario, scenario_to_dict, to_dot
 from tdasim.cli import main
 
 
@@ -148,6 +148,24 @@ def test_all_composes_exactly_like_the_stages(attacked_file, tmp_path, capsys):
         assert (outdir / name).read_text() == run_ok(capsys, argv), name
 
 
+def test_graph_files_are_the_dict_dump_byte_for_byte(attacked_file, tmp_path, capsys):
+    """graph.json, streamed to stdout, to --out and by `all`, is json.dumps of
+    graph_to_dict; the streamed DOT is to_dot's text."""
+    s = load_scenario(attacked_file)
+    g = build(s.windows, s.t_tr)
+    oracle = (json.dumps(graph_to_dict(g), indent=2) + "\n").encode("utf-8")
+    graph = ["graph", "--scenario", attacked_file]
+    assert run_ok(capsys, graph).encode("utf-8") == oracle
+    run_ok(capsys, [*graph, "--out", str(tmp_path / "graph.json")])
+    assert (tmp_path / "graph.json").read_bytes() == oracle
+    assert main(["all", "--scenario", attacked_file, "--out", str(tmp_path / "all")]) == 0
+    assert (tmp_path / "all" / "graph.json").read_bytes() == oracle
+    dot = to_dot(g, s.label)
+    assert run_ok(capsys, [*graph, "--format", "dot"]) == dot
+    run_ok(capsys, [*graph, "--format", "dot", "--out", str(tmp_path / "graph.dot")])
+    assert (tmp_path / "graph.dot").read_bytes() == dot.encode("utf-8")
+
+
 def test_all_from_preset_composes(tmp_path, capsys):
     outdir = tmp_path / "bundle"
     assert main(["all", "--preset", "table2-row1", "--seed", "4",
@@ -280,10 +298,15 @@ def test_invalid_scenario_exits_2(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# the demo with a t_tr of 980 nested lists
+DEEP_T_TR = _demo_doc(lambda d: None).replace('"t_tr": 1.0,',
+                                              '"t_tr": ' + "[" * 980 + "]" * 980 + ",")
+
+
 @pytest.mark.parametrize(
     "text",
     [
-        _demo_doc(lambda d: None).replace('"t_tr": 1.0,', '"t_tr": ' + "[" * 980 + "]" * 980 + ","),
+        DEEP_T_TR,
         _demo_doc(lambda d: d["windows"][0].update(wid=list(range(3000)))),
         _demo_doc(lambda d: d["nodes"][0].update(id=list(range(3000)))),
         _demo_doc(lambda d: d["nodes"][0].update(name=list(range(3000)))),
@@ -299,6 +322,23 @@ def test_huge_invalid_values_give_short_errors(text, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "not valid JSON" not in proc.stderr
     assert len(proc.stderr.encode("utf-8")) < 200, proc.stderr
+
+
+def test_deep_nesting_error_is_independent_of_the_stack(tmp_path, capsys):
+    """The JSON parser recurses once per level, so the error for a deeply
+    nested file must not depend on how deep the caller's stack already is."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(DEEP_T_TR, encoding="utf-8")
+    argv = ["graph", "--scenario", str(bad)]
+
+    def under(frames: int) -> tuple[int, str]:
+        if frames:
+            return under(frames - 1)
+        return main(argv), capsys.readouterr().err
+
+    proc = run_cli_process(argv)
+    assert proc.stderr.startswith("error:")
+    assert {under(0), under(100)} == {(2, proc.stderr)}
 
 
 def test_unknown_preset_exits_2(capsys):

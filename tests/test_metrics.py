@@ -12,7 +12,6 @@ from tdasim import (
     evaluate_scenario,
     score,
     time_phases,
-    to_us,
 )
 
 GOLDEN_EOR = {

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from tdasim import (
     AttackConfig,
     Node,
     NodeKind,
-    Scenario,
     ScenarioError,
     TimeWindow,
     Waypoint,
