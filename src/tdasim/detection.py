@@ -87,21 +87,22 @@ class NeighborTables:
 
     @classmethod
     def from_scenario(cls, s: Scenario, g: Twig, node: NodeId) -> "NeighborTables":
-        contacts: dict[NodeId, set[NodeId]] = {n.id: set() for n in s.nodes}
-        mine: dict[NodeId, list[TimeWindow]] = {}
-        for w in s.windows:
-            contacts[w.a].add(w.b)
-            contacts[w.b].add(w.a)
-            if w.touches(node):
-                mine.setdefault(w.other(node), []).append(w)
-        one = contacts[node]
+        """The tables of node, read from the graph built over s's windows.
+
+        Split pieces keep their pair, so a node's pieces name its contacts.
+        """
+        def contacts(n: NodeId) -> set[NodeId]:
+            return {w.other(n) for w in g.windows_of_node(n)}
+
+        one = contacts(node)
         two = set(one)
         for n in one:
-            two |= contacts[n]
+            two |= contacts(n)
         two.discard(node)
-        originals = {nbr: tuple(sorted(ws, key=lambda w: (w.start, w.wid)))
-                     for nbr, ws in mine.items()}
         pieces = {nbr: g.windows_of_pair(node, nbr) for nbr in one}
+        originals = {nbr: tuple(sorted({g.original_of(w.wid) for w in ws},
+                                       key=lambda w: (w.start, w.wid)))
+                     for nbr, ws in pieces.items()}
         return cls(node, frozenset(one), frozenset(two), originals, pieces)
 
 

@@ -59,6 +59,7 @@ class Twig:
     Holds the split pieces and O(pieces) index state over them, never arcs:
     vertex ids in key order, and per vertex its window start, its
     within-window mate and where its same-node arcs begin in its node's run.
+    The one thing that grows is a memo of the searches asked of the graph.
     """
 
     split_windows: tuple[TimeWindow, ...]
@@ -71,6 +72,9 @@ class Twig:
         self._piece = {w.wid: w for w in self.split_windows}
         self._orig = {w.wid: w for w in self.originals}
         self._labels = _window_labels(self.split_windows, self.provenance)
+        # _search's answers by (seeds, to_node, now); not a field, so equality
+        # and repr ignore it
+        self._memo: dict = {}
         by_node: dict[NodeId, list[TimeWindow]] = {}
         by_pair: dict[tuple[NodeId, NodeId], list[TimeWindow]] = {}
         for w in self.split_windows:
@@ -280,21 +284,36 @@ def shortest_path(
     return TwigPath(verts, weight, arc_weights)
 
 
+_NO_LABEL = (float("inf"), 0, ())
+
+
 def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: NodeId,
             now: int | None) -> tuple[int, int, tuple[tuple[NodeId, int], ...]] | None:
     """Least (weight, hops, key sequence) label reaching to_node, or None.
 
     Each seed (offset, key) starts a path at that vertex with the offset as
     its weight, so one search ranks every seed at once.  The order is total
-    and survives extension by an arc, so arc order cannot change the result.
-    Labels carry vertex ids, whose order is the key order.
+    and survives extension by an arc, so arc order cannot change the result,
+    and a label no smaller than one already pushed for its vertex can never
+    settle it: only labels that beat their vertex's best are pushed.  Labels
+    carry vertex ids, whose order is the key order.  The graph never changes,
+    so it answers a repeated search from its memo.
     """
+    seeds = tuple(seeds)
+    memo_key = (seeds, to_node, now)
+    if memo_key in g._memo:
+        return g._memo[memo_key]
     keys, start, mate, run, run_from = g._keys, g._start, g._mate, g._run, g._run_from
     t_tr = g.t_tr
+    best = [_NO_LABEL] * len(keys)  # least label pushed per vertex
     heap = [(offset, 0, (g._ix[key],)) for offset, key in seeds]
+    for label in heap:
+        i = label[2][0]
+        best[i] = min(best[i], label)
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     done = bytearray(len(keys))
+    found = None
     while heap:
         weight, hops, path = pop(heap)
         u = path[-1]
@@ -303,18 +322,29 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
         done[u] = 1
         node, wid = keys[u]
         if node == to_node:
-            return weight, hops, tuple(keys[i] for i in path)
+            found = weight, hops, tuple(keys[i] for i in path)
+            break
         hops += 1
+        # a settled vertex's best is below any extension, so it is never pushed
+        # again; a new label builds its path only when (weight, hops) ties
         v = mate[u]
-        if not done[v] and (now is None or g.usable(wid, now)):
-            push(heap, (weight + t_tr, hops, path + (v,)))
+        w = weight + t_tr
+        b = best[v]
+        if (w < b[0] or w == b[0] and (hops < b[1] or hops == b[1] and path + (v,) < b[2])) \
+                and (now is None or g.usable(wid, now)):
+            best[v] = label = (w, hops, path + (v,))
+            push(heap, label)
         s = start[u]
         ids, starts = run[u]
         for k in range(run_from[u], len(ids)):
             v = ids[k]
-            if not done[v]:  # u itself is done
-                push(heap, (weight + abs(starts[k] - s), hops, path + (v,)))
-    return None
+            w = weight + abs(starts[k] - s)
+            b = best[v]
+            if w < b[0] or w == b[0] and (hops < b[1] or hops == b[1] and path + (v,) < b[2]):
+                best[v] = label = (w, hops, path + (v,))
+                push(heap, label)
+    g._memo[memo_key] = found
+    return found
 
 
 # ---------------------------------------------------------------------------

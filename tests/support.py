@@ -11,12 +11,15 @@ pair at a time, rescanning from scratch.
 
 from __future__ import annotations
 
+import heapq
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from tdasim import (
     AttackConfig,
+    NeighborTables,
     Node,
+    NodeId,
     NodeKind,
     Scenario,
     TimeWindow,
@@ -110,6 +113,67 @@ def oracle_shortest(g: Twig, start: TwigVertex, to_node: int, now: int | None = 
     return best
 
 
+def oracle_search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: NodeId,
+                  now: int | None) -> tuple[int, int, tuple[tuple[NodeId, int], ...]] | None:
+    """Least (weight, hops, key sequence) label reaching to_node, or None.
+
+    The search ``twig._search`` replaced, kept verbatim: it pushes a label for
+    every arc into an unsettled vertex and answers no search from a memo.
+
+    Each seed (offset, key) starts a path at that vertex with the offset as
+    its weight, so one search ranks every seed at once.  The order is total
+    and survives extension by an arc, so arc order cannot change the result.
+    Labels carry vertex ids, whose order is the key order.
+    """
+    keys, start, mate, run, run_from = g._keys, g._start, g._mate, g._run, g._run_from
+    t_tr = g.t_tr
+    heap = [(offset, 0, (g._ix[key],)) for offset, key in seeds]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    done = bytearray(len(keys))
+    while heap:
+        weight, hops, path = pop(heap)
+        u = path[-1]
+        if done[u]:
+            continue
+        done[u] = 1
+        node, wid = keys[u]
+        if node == to_node:
+            return weight, hops, tuple(keys[i] for i in path)
+        hops += 1
+        v = mate[u]
+        if not done[v] and (now is None or g.usable(wid, now)):
+            push(heap, (weight + t_tr, hops, path + (v,)))
+        s = start[u]
+        ids, starts = run[u]
+        for k in range(run_from[u], len(ids)):
+            v = ids[k]
+            if not done[v]:  # u itself is done
+                push(heap, (weight + abs(starts[k] - s), hops, path + (v,)))
+    return None
+
+
+def oracle_neighbor_tables(s: Scenario, g: Twig, node: int) -> NeighborTables:
+    """The tables ``NeighborTables.from_scenario`` built by scanning every
+    original window of the scenario for each observer."""
+    contacts: dict[int, set[int]] = {n.id: set() for n in s.nodes}
+    mine: dict[int, list[TimeWindow]] = {}
+    for w in s.windows:
+        contacts[w.a].add(w.b)
+        contacts[w.b].add(w.a)
+        if w.touches(node):
+            mine.setdefault(w.other(node), []).append(w)
+    one = contacts[node]
+    two = set(one)
+    for n in one:
+        two |= contacts[n]
+    two.discard(node)
+    originals = {nbr: tuple(sorted(ws, key=lambda w: (w.start, w.wid)))
+                 for nbr, ws in mine.items()}
+    pieces = {nbr: g.windows_of_pair(node, nbr) for nbr in one}
+    return NeighborTables(node, frozenset(one), frozenset(two), originals, pieces)
+
+
 def oracle_benign_next_hop(s: Scenario, g: Twig, holder: int, now: int):
     """The per-window fan-out the seeded search replaced, ranked by the oracle.
 
@@ -152,6 +216,16 @@ def random_small_twig(rng: random.Random, max_vertices: int = 12) -> Twig:
         g = build(tuple(windows), to_us(1))
         if len(g.vertices) <= max_vertices:
             return g
+
+
+def staircase(k: int) -> tuple[TimeWindow, ...]:
+    """k windows of 10.5 s, one starting every second, along a 7-node chain."""
+    sec = to_us(1)
+    chain = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+    return tuple(
+        TimeWindow(i + 1, *chain[i % len(chain)], i * sec, i * sec + 21 * sec // 2)
+        for i in range(k)
+    )
 
 
 def oracle_edges(pieces, t_tr: int) -> list[dict]:

@@ -6,18 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import A, B, C, D, E, F, S, make_demo
+from support import A, B, C, D, E, F, S, make_demo, oracle_neighbor_tables
 from tdasim import (
     HopMetadata,
     HopRecord,
     InconsistentTrace,
     NeighborTables,
+    PRESETS,
     PacketTrace,
     RelayInfo,
     build,
     detect_global,
     detect_local,
+    generate,
     local_scan_to_dict,
+    preset_params,
     report_to_dict,
     run_local_pipeline,
     simulate,
@@ -112,6 +115,17 @@ def test_neighbor_tables(demo, demo_graph):
     assert set(t.originals) == t.one_hop
     assert [w.wid for w in t.originals[B]] == [4]
     assert t.one_hop <= t.two_hop
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_neighbor_tables_match_the_window_scan(preset):
+    for seed in range(20):
+        s = generate(preset_params(preset, seed))
+        g = build(s.windows, s.t_tr)
+        for scenario in (s, s.without_attack()):
+            for h in simulate(scenario, g).hops[1:]:
+                assert NeighborTables.from_scenario(scenario, g, h.node) == \
+                    oracle_neighbor_tables(scenario, g, h.node), (seed, h.node)
 
 
 def test_local_benign_pipeline_is_silent(demo, demo_graph):

@@ -1,0 +1,169 @@
+"""The time-window graph's search: the replaced search as oracle on large
+graphs, the work it does, and the memo that answers repeated searches."""
+
+from __future__ import annotations
+
+import functools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from support import oracle_search, staircase
+from tdasim import (
+    PRESETS,
+    TimeWindow,
+    benign_next_hop,
+    build,
+    detect_global,
+    evaluate_scenario,
+    generate,
+    preset_params,
+    run_local_pipeline,
+    shortest_path,
+    simulate,
+    to_us,
+    window_misses,
+)
+from tdasim import twig
+from tdasim.twig import _graph_json, _search
+
+SEC = to_us(1)
+
+
+@functools.cache
+def generated(preset: str, seed: int):
+    return generate(preset_params(preset, seed))
+
+
+@st.composite
+def preset_windows(draw):
+    """The windows and t_tr of a generated table2-row* scenario."""
+    s = generated(draw(st.sampled_from(sorted(PRESETS))), draw(st.integers(0, 4)))
+    return s.windows, s.t_tr
+
+
+@st.composite
+def staircase_windows(draw):
+    """The staircase of the dense-all workload, 12 to 30 windows."""
+    return staircase(draw(st.integers(12, 30))), SEC
+
+
+@st.composite
+def tied_windows(draw):
+    """Up to 12 windows among 5 nodes on a grid of a few microseconds, with
+    t_tr one grid step: equal spans, equal starts and equal (weight, hops)
+    labels over different paths are common."""
+    unit = draw(st.integers(1, 3))
+    windows = []
+    for wid in range(1, draw(st.integers(2, 12)) + 1):
+        a = draw(st.integers(0, 3))
+        b = draw(st.integers(a + 1, 4))
+        lo = draw(st.integers(0, 6))
+        windows.append(TimeWindow(wid, a, b, lo * unit, (lo + draw(st.integers(1, 4))) * unit))
+    return tuple(windows), unit
+
+
+@st.composite
+def search_question(draw, graphs):
+    """A fresh graph and one question for it: seeds, target node and instant."""
+    windows, t_tr = draw(graphs)
+    g = build(windows, t_tr)
+    nodes = sorted({v.node for v in g.vertices})
+    lo = min(w.start for w in windows)
+    hi = max(w.end for w in windows)
+    now = draw(st.none() | st.integers(lo, hi))
+    if draw(st.booleans()):
+        seeds = [(0, draw(st.sampled_from(g.vertices)).key)]
+    else:
+        # benign_next_hop's form: every window of a holder usable at an
+        # instant, offset by the wait until it opens
+        holder = draw(st.sampled_from(nodes))
+        at = draw(st.integers(lo, hi)) if now is None else now
+        seeds = [(max(w.start, at) - at, (holder, w.wid))
+                 for w in g.windows_of_node(holder) if g.usable(w.wid, at)]
+    return g, seeds, draw(st.sampled_from(nodes)), now
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_question(preset_windows() | staircase_windows() | tied_windows()))
+def test_search_matches_the_replaced_search(question):
+    g, seeds, to_node, now = question
+    assert _search(g, seeds, to_node, now) == oracle_search(g, seeds, to_node, now)
+
+
+class CountingHeap:
+    """Stands in for heapq inside twig and counts the labels it handles."""
+
+    def __init__(self, heapq):
+        self.heapq, self.pushes, self.pops, self.searches = heapq, 0, 0, 0
+
+    def heapify(self, heap):
+        self.searches += 1
+        self.pushes += len(heap)
+        self.heapq.heapify(heap)
+
+    def heappush(self, heap, label):
+        self.pushes += 1
+        self.heapq.heappush(heap, label)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return self.heapq.heappop(heap)
+
+
+def test_search_work_on_generated_scenarios(monkeypatch):
+    """generate plus evaluate_scenario on table2-row3 and row5, seeds 0-9.
+
+    The counts are deterministic.  Before labels were pruned against their
+    vertex's best and searches memoised on the graph, the same calls made
+    186 225 pushes (seeds included), 67 370 pops and 1 791 searches.
+    """
+    counter = CountingHeap(twig.heapq)
+    monkeypatch.setattr(twig, "heapq", counter)
+    for preset in ("table2-row3", "table2-row5"):
+        for seed in range(10):
+            evaluate_scenario(generate(preset_params(preset, seed)), timing_repeats=0)
+    assert counter.pushes <= 36_551
+    assert counter.pops <= 18_656
+    assert counter.searches <= 1_090
+
+
+def searched_graph():
+    """A generated scenario's graph after the replays and both detectors ran on it."""
+    s = generated("table2-row3", 1)
+    g = build(s.windows, s.t_tr)
+    for scenario in (s, s.without_attack()):
+        trace = simulate(scenario, g)
+        detect_global(g, trace)
+        run_local_pipeline(scenario, g, trace)
+        window_misses(scenario, g, trace)
+    assert g._memo
+    return s, g
+
+
+def test_memo_leaves_the_graph_as_built():
+    s, g = searched_graph()
+    fresh = build(s.windows, s.t_tr)
+    assert g == fresh
+    assert repr(g) == repr(fresh)
+    assert "".join(_graph_json(g)) == "".join(_graph_json(fresh))
+
+
+def test_memo_hits_equal_fresh_searches():
+    s, g = searched_graph()
+    for (seeds, to_node, now), found in list(g._memo.items()):
+        assert _search(g, seeds, to_node, now) is found
+        assert _search(build(s.windows, s.t_tr), seeds, to_node, now) == found
+
+
+def test_repeated_queries_return_equal_results():
+    s, g = searched_graph()
+    fresh = build(s.windows, s.t_tr)
+    trace = simulate(s, g)
+    for h in trace.hops[:-1]:
+        want = benign_next_hop(s, fresh, h.node, h.reception_time)
+        assert [benign_next_hop(s, g, h.node, h.reception_time) for _ in range(2)] == [want] * 2
+    for v in g.vertices[::5]:
+        for now in (None, trace.hops[0].reception_time):
+            want = shortest_path(fresh, v, s.destination, now=now)
+            assert [shortest_path(g, v, s.destination, now=now) for _ in range(2)] == [want] * 2

@@ -28,6 +28,7 @@ from support import (
     oracle_shortest,
     oracle_split,
     random_small_twig,
+    staircase,
     vertex,
     wid_of_label,
 )
@@ -535,15 +536,6 @@ def test_derived_arcs_match_oracle_on_random_graphs(seed, coarse):
     else:
         g = random_small_twig(rng, max_vertices=30)
     assert_arcs_match_oracle(g)
-
-
-def staircase(k: int) -> tuple[TimeWindow, ...]:
-    """k windows of 10.5 s, one starting every second, along a 7-node chain."""
-    chain = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
-    return tuple(
-        TimeWindow(i + 1, *chain[i % len(chain)], i * SEC, i * SEC + 21 * SEC // 2)
-        for i in range(k)
-    )
 
 
 def test_build_memory_is_linear():
