@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,24 +28,24 @@ from .simulator import PacketTrace, simulate, trace_to_dict
 from .twig import EmbeddingError, Twig, _dot_lines, _graph_json, build
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scenario_path: str | None = None
-    preset: str | None = None
-    seed: int = 0
-    mode: str = "both"
-    out: str | None = None
-    format: str = "json"
-    hops: tuple[int, ...] | None = None
-    runs: int = 1
-    eor_table: bool = False
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 on usage problems, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _hops(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(part) for part in text.split(","))
 
 
 def _build_parser() -> _Parser:
@@ -81,40 +80,14 @@ def _build_parser() -> _Parser:
     p_metrics = sub.add_parser("metrics", help="evaluate a scenario or tabulate overhead")
     p_metrics.add_argument("--eor", action="store_true", dest="eor_table",
                            help="emit the overhead-ratio table for --hops")
-    p_metrics.add_argument("--hops", metavar="LIST",
+    p_metrics.add_argument("--hops", type=_hops, metavar="LIST",
                            help="comma-separated hop counts, e.g. 4,5,7,10,15")
-    p_metrics.add_argument("--runs", type=int, default=1, metavar="K",
+    p_metrics.add_argument("--runs", type=_positive_int, default=1, metavar="K",
                            help="evaluate K consecutive seeds of --preset")
     common(p_metrics, scenario=True, preset=True, fmt=("json", "csv"))
     common(sub.add_parser("all", help="run the whole pipeline into a directory"),
            scenario=True, preset=True, mode=True)
     return parser
-
-
-def _config(args: argparse.Namespace, parser: _Parser) -> RunConfig:
-    hops: tuple[int, ...] | None = None
-    raw = getattr(args, "hops", None)
-    if raw is not None:
-        try:
-            hops = tuple(int(part) for part in raw.split(","))
-        except ValueError:
-            parser.error(f"--hops must be comma-separated integers, got {raw!r}")
-        if not hops or any(h < 1 for h in hops):
-            parser.error("--hops entries must be positive")
-    if getattr(args, "runs", 1) < 1:
-        parser.error(f"--runs must be positive, got {args.runs}")
-    return RunConfig(
-        command=args.command,
-        scenario_path=getattr(args, "scenario", None),
-        preset=getattr(args, "preset", None),
-        seed=getattr(args, "seed", 0),
-        mode=getattr(args, "mode", "both"),
-        out=args.out,
-        format=getattr(args, "format", "json"),
-        hops=hops,
-        runs=getattr(args, "runs", 1),
-        eor_table=getattr(args, "eor_table", False),
-    )
 
 
 def _emit(text: str | Iterable[str], out: str | Path | None) -> None:
@@ -127,21 +100,21 @@ def _emit(text: str | Iterable[str], out: str | Path | None) -> None:
         fh.writelines(chunks)
 
 
-def _obtain_scenario(cfg: RunConfig, parser: _Parser, stage: str) -> Scenario:
-    if cfg.scenario_path and cfg.preset:
+def _obtain_scenario(args: argparse.Namespace, parser: _Parser, stage: str) -> Scenario:
+    if args.scenario and args.preset:
         parser.error(f"{stage}: give either --scenario or --preset, not both")
-    if cfg.scenario_path:
-        return load_scenario(cfg.scenario_path)
-    if cfg.preset:
-        return generate(preset_params(cfg.preset, cfg.seed))
+    if args.scenario:
+        return load_scenario(args.scenario)
+    if args.preset:
+        return generate(preset_params(args.preset, args.seed))
     parser.error(f"{stage}: --scenario or --preset is required")
     raise AssertionError("unreachable")
 
 
-def _require_scenario(cfg: RunConfig, parser: _Parser, stage: str) -> Scenario:
-    if not cfg.scenario_path:
+def _require_scenario(args: argparse.Namespace, parser: _Parser, stage: str) -> Scenario:
+    if not args.scenario:
         parser.error(f"{stage}: --scenario is required")
-    return load_scenario(cfg.scenario_path)
+    return load_scenario(args.scenario)
 
 
 def _judge(s: Scenario, g: Twig, trace: PacketTrace,
@@ -166,30 +139,30 @@ def _detect_payload(s: Scenario, greport: DetectionReport | None, lscan: LocalSc
     return payload[mode] if mode != "both" else payload
 
 
-def _cmd_generate(cfg: RunConfig, parser: _Parser) -> None:
-    if not cfg.preset:
+def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> None:
+    if not args.preset:
         parser.error("generate: --preset is required")
-    s = generate(preset_params(cfg.preset, cfg.seed))
-    _emit(dumps(scenario_to_dict(s)), cfg.out)
+    s = generate(preset_params(args.preset, args.seed))
+    _emit(dumps(scenario_to_dict(s)), args.out)
 
 
-def _cmd_graph(cfg: RunConfig, parser: _Parser) -> None:
-    s = _require_scenario(cfg, parser, "graph")
+def _cmd_graph(args: argparse.Namespace, parser: _Parser) -> None:
+    s = _require_scenario(args, parser, "graph")
     g = build(s.windows, s.t_tr)
-    _emit(_dot_lines(g, s.label) if cfg.format == "dot" else _graph_json(g), cfg.out)
+    _emit(_dot_lines(g, s.label) if args.format == "dot" else _graph_json(g), args.out)
 
 
-def _cmd_simulate(cfg: RunConfig, parser: _Parser) -> None:
-    s = _require_scenario(cfg, parser, "simulate")
+def _cmd_simulate(args: argparse.Namespace, parser: _Parser) -> None:
+    s = _require_scenario(args, parser, "simulate")
     trace = simulate(s, build(s.windows, s.t_tr))
-    _emit(dumps(trace_to_dict(trace)), cfg.out)
+    _emit(dumps(trace_to_dict(trace)), args.out)
 
 
-def _cmd_detect(cfg: RunConfig, parser: _Parser) -> None:
-    s = _require_scenario(cfg, parser, "detect")
+def _cmd_detect(args: argparse.Namespace, parser: _Parser) -> None:
+    s = _require_scenario(args, parser, "detect")
     g = build(s.windows, s.t_tr)
-    greport, lscan = _judge(s, g, simulate(s, g), cfg.mode)
-    _emit(dumps(_detect_payload(s, greport, lscan, cfg.mode)), cfg.out)
+    greport, lscan = _judge(s, g, simulate(s, g), args.mode)
+    _emit(dumps(_detect_payload(s, greport, lscan, args.mode)), args.out)
 
 
 def _eor_text(hops: tuple[int, ...], fmt: str) -> str:
@@ -204,33 +177,33 @@ def _eor_text(hops: tuple[int, ...], fmt: str) -> str:
     return dumps({"hops": list(hops), "eor": table})
 
 
-def _cmd_metrics(cfg: RunConfig, parser: _Parser) -> None:
-    if cfg.eor_table:
-        if not cfg.hops:
+def _cmd_metrics(args: argparse.Namespace, parser: _Parser) -> None:
+    if args.eor_table:
+        if not args.hops:
             parser.error("metrics: --eor requires --hops")
-        _emit(_eor_text(cfg.hops, cfg.format), cfg.out)
+        _emit(_eor_text(args.hops, args.format), args.out)
         return
-    if cfg.format == "csv":
+    if args.format == "csv":
         parser.error("metrics: --format csv is only available with --eor")
-    if cfg.runs > 1:
-        if not cfg.preset:
+    if args.runs > 1:
+        if not args.preset:
             parser.error("metrics: --runs needs --preset to generate scenarios")
         runs = [
             {"seed": seed, **evaluate_scenario(
-                generate(preset_params(cfg.preset, seed)), timing_repeats=0).to_dict()}
-            for seed in range(cfg.seed, cfg.seed + cfg.runs)
+                generate(preset_params(args.preset, seed)), timing_repeats=0).to_dict()}
+            for seed in range(args.seed, args.seed + args.runs)
         ]
-        _emit(dumps({"runs": runs}), cfg.out)
+        _emit(dumps({"runs": runs}), args.out)
         return
-    s = _obtain_scenario(cfg, parser, "metrics")
-    _emit(dumps(evaluate_scenario(s, timing_repeats=0).to_dict()), cfg.out)
+    s = _obtain_scenario(args, parser, "metrics")
+    _emit(dumps(evaluate_scenario(s, timing_repeats=0).to_dict()), args.out)
 
 
-def _cmd_all(cfg: RunConfig, parser: _Parser) -> None:
-    if not cfg.out:
+def _cmd_all(args: argparse.Namespace, parser: _Parser) -> None:
+    if not args.out:
         parser.error("all: --out DIRECTORY is required")
-    s = _obtain_scenario(cfg, parser, "all")
-    outdir = Path(cfg.out)
+    s = _obtain_scenario(args, parser, "all")
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _emit(dumps(scenario_to_dict(s)), outdir / "scenario.json")
     g = build(s.windows, s.t_tr)
@@ -238,8 +211,8 @@ def _cmd_all(cfg: RunConfig, parser: _Parser) -> None:
     trace = simulate(s, g)
     _emit(dumps(trace_to_dict(trace)), outdir / "trace.json")
     greport, lscan = _judge(s, g, trace)
-    _emit(dumps(_detect_payload(s, greport, lscan, cfg.mode)), outdir / "detect.json")
-    report = _fold(s, trace, greport, lscan, OverheadModel(), {})
+    _emit(dumps(_detect_payload(s, greport, lscan, args.mode)), outdir / "detect.json")
+    report = _fold(s, trace, greport, lscan, {})
     _emit(dumps(report.to_dict()), outdir / "metrics.json")
 
 
@@ -257,15 +230,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config(args, parser)
-        _COMMANDS[cfg.command](cfg, parser)
+        _COMMANDS[args.command](args, parser)
         return 0
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
-    except (ScenarioError, GenerationError, InconsistentTrace, EmbeddingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, GenerationError, InconsistentTrace, EmbeddingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Union
 
 from .scenario import NodeId, Scenario, TimeWindow, to_seconds
 from .simulator import PacketTrace
-from .twig import EmbeddingError, Twig, embed_trace, shortest_path
+from .twig import EmbeddingError, Twig, _latest_containing, embed_trace, shortest_path
 
 
 class InconsistentTrace(ValueError):
@@ -164,10 +164,7 @@ def detect_local(
         raise InconsistentTrace("metadata lacks the immediate predecessor")
     pred = meta.info_2.node
     send = rt_self - t_tr
-    piece = None
-    for w in tables.pieces.get(pred, ()):
-        if w.start <= send <= w.end:
-            piece = w  # ascending order: keep the latest match
+    piece = _latest_containing(tables.pieces.get(pred, ()), send)
     if piece is None:
         raise InconsistentTrace(
             f"no window between {observer} and {pred} contains the send instant"

@@ -38,12 +38,15 @@ class GenerationParams:
     n_nodes: int
     n_windows: int
     n_malicious: int
-    window_duration_range: tuple[float, float] = (5.0, 15.0)
-    horizon: float = 600.0
     seed: int = 0
-    t_tr: float = 1.0
-    delay: float = 5.0
-    max_attempts: int = 200
+
+
+# every generated scenario shares these; times in seconds
+_DURATION = (5.0, 15.0)  # range of a window's duration
+_HORIZON = 600.0  # every window ends by then
+_T_TR = 1.0
+_DELAY = 5.0  # each attacker's delay
+_MAX_ATTEMPTS = 200
 
 
 # (nodes, windows, malicious) rows of the reference evaluation table
@@ -68,15 +71,13 @@ def preset_params(name: str, seed: int = 0) -> GenerationParams:
 def generate(params: GenerationParams) -> Scenario:
     """Deterministic for a fixed seed; raises GenerationError when infeasible."""
     _check_feasible(params)
-    for attempt in range(params.max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = random.Random(f"{params.seed}:{attempt}")
         candidate = _candidate(params, rng)
         if candidate is not None and _conclusive(candidate):
             return candidate
-    raise GenerationError(
-        f"no viable scenario in {params.max_attempts} attempts for seed {params.seed}; "
-        "the parameters may be infeasible (horizon too short or windows too scarce)"
-    )
+    raise GenerationError(f"no viable scenario in {_MAX_ATTEMPTS} attempts for seed "
+                          f"{params.seed}; the parameters may be infeasible")
 
 
 def _check_feasible(params: GenerationParams) -> None:
@@ -86,15 +87,6 @@ def _check_feasible(params: GenerationParams) -> None:
         raise GenerationError("n_malicious must be smaller than n_nodes - 1")
     if params.n_malicious < 0 or params.n_windows < 1:
         raise GenerationError("counts must be non-negative and windows at least 1")
-    lo, hi = params.window_duration_range
-    if not (0 < lo <= hi):
-        raise GenerationError("window_duration_range must be a positive, ordered pair")
-    if lo < params.t_tr:
-        raise GenerationError("windows shorter than the transmission time are useless")
-    if params.horizon <= hi:
-        raise GenerationError("horizon too short for even one window")
-    if params.t_tr <= 0:
-        raise GenerationError("t_tr must be positive")
 
 
 def _candidate(params: GenerationParams, rng: random.Random) -> Scenario | None:
@@ -108,21 +100,20 @@ def _candidate(params: GenerationParams, rng: random.Random) -> Scenario | None:
     m = rng.randint(lo_m, hi_m)
     intermediates = rng.sample(range(1, n - 1), m) if m else []
     backbone = [source, *intermediates, destination]
-    dur_lo, dur_hi = params.window_duration_range
     windows: list[TimeWindow] = []
     start = rng.uniform(0.0, 10.0)
     wid = 1
     for u, v in zip(backbone, backbone[1:]):
-        dur = rng.uniform(dur_lo, dur_hi)
-        if start + dur > params.horizon:
+        dur = rng.uniform(*_DURATION)
+        if start + dur > _HORIZON:
             return None
         windows.append(TimeWindow(wid, u, v, to_us(start), to_us(start + dur)))
         wid += 1
         start = rng.uniform(start + 2.0, start + dur + 6.0)
     while wid <= params.n_windows:
         a, b = rng.sample(range(n), 2)
-        dur = rng.uniform(dur_lo, dur_hi)
-        w_start = rng.uniform(0.0, params.horizon - dur)
+        dur = rng.uniform(*_DURATION)
+        w_start = rng.uniform(0.0, _HORIZON - dur)
         windows.append(TimeWindow(wid, a, b, to_us(w_start), to_us(w_start + dur)))
         wid += 1
     attackers = rng.sample(intermediates, params.n_malicious) if params.n_malicious else []
@@ -131,10 +122,10 @@ def _candidate(params: GenerationParams, rng: random.Random) -> Scenario | None:
             Node(i, NodeKind.TOWER if i in towers else NodeKind.UAV) for i in range(n)
         ),
         windows=tuple(windows),
-        t_tr=to_us(params.t_tr),
+        t_tr=to_us(_T_TR),
         source=source,
         destination=destination,
-        attack=AttackConfig({a: to_us(params.delay) for a in sorted(attackers)}),
+        attack=AttackConfig({a: to_us(_DELAY) for a in sorted(attackers)}),
     )
     validate_scenario(s)
     return s

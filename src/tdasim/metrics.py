@@ -120,12 +120,7 @@ class MetricsReport:
         }
 
 
-def evaluate_scenario(
-    s: Scenario,
-    model: OverheadModel = OverheadModel(),
-    *,
-    timing_repeats: int = 10,
-) -> MetricsReport:
+def evaluate_scenario(s: Scenario, *, timing_repeats: int = 10) -> MetricsReport:
     """Run the whole pipeline once and fold the results into one report.
 
     Surfaces both the graph-weight view (fp/sp) and the physical arrival time,
@@ -142,12 +137,11 @@ def evaluate_scenario(
             fp_weight=None, sp_weight=None, physical_arrival=None,
             runtime=timings,
         )
-    return _fold(s, trace, detect_global(g, trace), run_local_pipeline(s, g, trace),
-                 model, timings)
+    return _fold(s, trace, detect_global(g, trace), run_local_pipeline(s, g, trace), timings)
 
 
 def _fold(s: Scenario, trace: PacketTrace, greport: DetectionReport, lscan: LocalScan,
-          model: OverheadModel, timings: dict[str, float]) -> MetricsReport:
+          timings: dict[str, float]) -> MetricsReport:
     """The report of a delivered trace from both detectors' results on it."""
     gprec, grec = score(greport.flagged, s.attack.attackers())
     lprec, lrec = score(lscan.merged_flagged(), s.attack.attackers())
@@ -160,7 +154,7 @@ def _fold(s: Scenario, trace: PacketTrace, greport: DetectionReport, lscan: Loca
         sp_weight=None if greport.sp_weight is None else to_seconds(greport.sp_weight),
         physical_arrival=None if trace.physical_arrival is None
         else to_seconds(trace.physical_arrival),
-        eor={mode: eor(model, mode, h) for mode in MODES},
+        eor={mode: eor(OverheadModel(), mode, h) for mode in MODES},
         flagged={
             "global": [s.label(n) for n in greport.flagged],
             "local": [s.label(n) for n in lscan.merged_flagged()],

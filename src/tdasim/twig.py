@@ -150,31 +150,29 @@ class Twig:
 
     def send_window(self, a: NodeId, b: NodeId, send: int) -> TimeWindow | None:
         """Latest split window of the pair whose span contains the send instant."""
-        found = None
-        for w in self.windows_of_pair(a, b):
-            if w.start <= send <= w.end:
-                found = w  # ascending scan: the last hit is the latest piece
-        return found
+        return _latest_containing(self.windows_of_pair(a, b), send)
 
 
 def _wkey(w: TimeWindow) -> tuple[int, int, int]:
     return (w.start, w.end, w.wid)
 
 
+def _latest_containing(pieces: Sequence[TimeWindow], instant: int) -> TimeWindow | None:
+    """The last of the pieces, in (start, end, wid) order, whose span contains instant."""
+    return next((w for w in reversed(pieces) if w.start <= instant <= w.end), None)
+
+
 def _arc(t_tr: int, nu: NodeId, wu: TimeWindow, nv: NodeId, wv: TimeWindow) -> int | None:
     """Weight of the arc from vertex (nu, wu) to (nv, wv), or None.
 
     The graph's only arc rules; both vertices must be in the graph.  A
-    window's endpoints are joined both ways at cost t_tr.  Two windows of one
-    node are joined by succession, forward in time only, when the first ends
-    by the time the second starts, else (split pieces nest) by containment,
-    both ways; either costs the gap between their start times.
+    window's endpoints are joined both ways at cost t_tr.  A vertex is joined
+    to every other window of its node that ends after its own window starts,
+    at the gap between their start times.
     """
     if nu != nv:
         return t_tr if wu.wid == wv.wid else None
-    if wu.end <= wv.start:
-        return wv.start - wu.start
-    if wv.end <= wu.start or wu.wid == wv.wid:
+    if wu.wid == wv.wid or wv.end <= wu.start:
         return None
     return abs(wv.start - wu.start)
 
@@ -278,10 +276,10 @@ def shortest_path(
     if found is None:
         return None
     weight, _, keys = found
-    verts = tuple(TwigVertex(n, w) for n, w in keys)
-    arc_weights = tuple(g.arc_weight(a, b) for a, b in zip(verts, verts[1:]))
-    assert None not in arc_weights
-    return TwigPath(verts, weight, arc_weights)
+    piece = g._piece
+    arc_weights = tuple(g.t_tr if nu != nv else abs(piece[wv].start - piece[wu].start)
+                        for (nu, wu), (nv, wv) in zip(keys, keys[1:]))
+    return TwigPath(tuple(TwigVertex(n, w) for n, w in keys), weight, arc_weights)
 
 
 _NO_LABEL = (float("inf"), 0, ())

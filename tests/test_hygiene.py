@@ -40,3 +40,54 @@ def test_no_unused_imports():
     files = sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
     assert len(files) > 10
     assert [entry for path in files for entry in unused_imports(path)] == []
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each private module-level function, class or constant, by name."""
+    found: dict[str, ast.stmt] = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = stmt
+    return found
+
+
+def read_names(node: ast.AST) -> set[str]:
+    """Names read under node: bare names, attributes and `from ... import` aliases."""
+    names: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unreferenced_private_names(paths: list[Path]) -> list[str]:
+    """`file: name` for each private module-level name nothing else in paths reads.
+
+    A reference inside the name's own definition, such as a recursive call,
+    does not count.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in paths}
+    reads = [(stmt, read_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    return [f"{path.name}: {name}"
+            for path, tree in trees.items()
+            for name, definition in private_definitions(tree).items()
+            if not any(name in names for stmt, names in reads if stmt is not definition)]
+
+
+def test_no_unreferenced_private_names():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 5
+    assert unreferenced_private_names(paths) == []

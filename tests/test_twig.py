@@ -351,6 +351,23 @@ def test_shortest_path_matches_oracle_on_random_graphs(seed):
         assert (got.total_weight, got.hops, tuple(v.key for v in got.vertices)) == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_shortest_path_weights_are_the_graphs_arc_weights(seed):
+    rng = random.Random(seed)
+    g = random_small_twig(rng)
+    verts = sorted(g.vertices)
+    for now in (None, to_us(rng.randint(0, 90))):
+        for start in verts:
+            for target in {v.node for v in verts}:
+                found = shortest_path(g, start, target, now=now)
+                if found is None:
+                    continue
+                pairs = list(zip(found.vertices, found.vertices[1:]))
+                assert list(found.weights) == [g.arc_weight(u, v) for u, v in pairs]
+                assert sum(found.weights) == found.total_weight
+
+
 def test_shortest_path_deterministic(demo_graph):
     g = demo_graph
     runs = {
