@@ -169,20 +169,13 @@ def detect_local(
         raise InconsistentTrace(
             f"no window between {observer} and {pred} contains the send instant"
         )
-    checks: list[LocalCheck] = []
-    flagged: list[NodeId] = []
     delta = rt_self - piece.start
-    immediate = meta.info_2.reception_time + t_tr == rt_self
-    if delta == t_tr:
-        checks.append(LocalCheck(observer, pred, "predecessor", False,
-                                 window=piece.wid, delta=delta))
-    elif immediate:
-        checks.append(LocalCheck(observer, pred, "predecessor", False,
-                                 window=piece.wid, delta=delta, immediate=True))
-    else:
-        checks.append(LocalCheck(observer, pred, "predecessor", True,
-                                 window=piece.wid, delta=delta, immediate=False))
-        flagged.append(pred)
+    # a send at the window's start is always prompt; otherwise the predecessor
+    # must have relayed with zero dwell
+    immediate = None if delta == t_tr else meta.info_2.reception_time + t_tr == rt_self
+    checks = [LocalCheck(observer, pred, "predecessor", immediate is False,
+                         window=piece.wid, delta=delta, immediate=immediate)]
+    flagged = [pred] if immediate is False else []
     if meta.info_1 is not None and meta.info_1.node in tables.one_hop:
         subject = meta.info_1.node
         held_until = meta.info_1.reception_time + t_tr

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence, Union
 
 from .detection import DetectionReport, LocalScan, detect_global, run_local_pipeline
@@ -105,19 +105,7 @@ class MetricsReport:
     runtime: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "delivered": self.delivered,
-            "hop_count": self.hop_count,
-            "path": list(self.path),
-            "fp_weight": self.fp_weight,
-            "sp_weight": self.sp_weight,
-            "physical_arrival": self.physical_arrival,
-            "eor": dict(self.eor),
-            "flagged": {k: list(v) for k, v in self.flagged.items()},
-            "precision": dict(self.precision),
-            "recall": dict(self.recall),
-            "runtime": dict(self.runtime),
-        }
+        return {**asdict(self), "path": list(self.path)}
 
 
 def evaluate_scenario(s: Scenario, *, timing_repeats: int = 10) -> MetricsReport:

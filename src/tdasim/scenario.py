@@ -16,7 +16,7 @@ import re
 import reprlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -238,10 +238,11 @@ def derive_windows(
 ) -> list[TimeWindow]:
     """Sample pairwise distances along waypoint trajectories and emit contact windows.
 
-    Positions are linearly interpolated between waypoints at step ``dt`` seconds;
-    a window covers each maximal run of samples whose distance stays within the
-    pair's communication range (default rule: the smaller of the two ranges).
-    Window endpoints are therefore accurate to within one ``dt``.
+    Positions are linearly interpolated between waypoints at step ``dt`` seconds
+    and at the end of the shared span; a window covers each maximal run of two
+    or more samples whose distance stays within the pair's communication range
+    (default rule: the smaller of the two ranges).  Window endpoints are
+    therefore accurate to within one ``dt``.
     """
     if dt <= 0:
         raise ScenarioError("dt must be positive")
@@ -255,25 +256,12 @@ def derive_windows(
             if span is None:
                 continue
             lo, hi = span
-            run_start: int | None = None
-            last_t = lo
-            t = lo
-            while True:
-                t = min(t, hi)
-                inside = _dist(a, b, t) <= limit
-                if inside and run_start is None:
-                    run_start = t
-                elif not inside and run_start is not None:
-                    if last_t > run_start:
-                        windows.append((pair, run_start, last_t))
-                    run_start = None
-                last_t = t
-                if t >= hi:
-                    break
-                t += step
-            if run_start is not None and hi > run_start:
-                windows.append((pair, run_start, hi))
-    windows.sort(key=lambda item: (min(item[0]), max(item[0]), item[1]))
+            samples = [*range(lo, hi, step), hi]
+            for inside, run in groupby(samples, key=lambda t: _dist(a, b, t) <= limit):
+                ts = list(run)
+                if inside and len(ts) > 1:
+                    windows.append((pair, ts[0], ts[-1]))
+    windows.sort()
     return [
         TimeWindow(wid=i + 1, a=pair[0], b=pair[1], start=start, end=end)
         for i, (pair, start, end) in enumerate(windows)
@@ -304,11 +292,8 @@ def _span_overlap(a: Node, b: Node) -> tuple[int, int] | None:
     return (int(lo), int(hi))
 
 
-def _distance_at(node: Node, t: int) -> tuple[float, float, float] | None:
+def _position_at(node: Node, t: int) -> tuple[float, float, float]:
     wps = node.waypoints
-    assert wps is not None
-    if len(wps) == 1:
-        return (wps[0].x, wps[0].y, wps[0].z)
     if t <= wps[0].t:
         return (wps[0].x, wps[0].y, wps[0].z)
     if t >= wps[-1].t:
@@ -317,14 +302,10 @@ def _distance_at(node: Node, t: int) -> tuple[float, float, float] | None:
         if p.t <= t <= q.t:
             f = (t - p.t) / (q.t - p.t)
             return (p.x + f * (q.x - p.x), p.y + f * (q.y - p.y), p.z + f * (q.z - p.z))
-    return None
 
 
 def _dist(a: Node, b: Node, t: int) -> float:
-    pa = _distance_at(a, t)
-    pb = _distance_at(b, t)
-    assert pa is not None and pb is not None
-    return math.dist(pa, pb)
+    return math.dist(_position_at(a, t), _position_at(b, t))
 
 
 # ---------------------------------------------------------------------------

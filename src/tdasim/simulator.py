@@ -16,7 +16,7 @@ from typing import Callable
 
 from .scenario import (NodeId, Scenario, ScenarioError, _brief, _convert, _json_int, _read_json,
                        to_seconds, to_us)
-from .twig import Twig, TwigVertex, _search, build, shortest_path
+from .twig import Twig, _search, build, shortest_path
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def _plan(
             return None
         neighbor, wid = nh
         return neighbor, wid, max(now, g.window(wid).start)
-    path = shortest_path(g, TwigVertex(holder, recv_wid), s.destination, now=now)
+    path = shortest_path(g, (holder, recv_wid), s.destination, now=now)
     if path is None:
         return None
     for u, v in zip(path.vertices, path.vertices[1:]):
@@ -135,7 +135,7 @@ def benign_next_hop(s: Scenario, g: Twig, holder: NodeId, now: int) -> tuple[Nod
     found = _search(g, seeds, s.destination, now)
     if found is None:
         return None
-    wid = found[2][0][1]  # the seed window the winning path starts from
+    wid = found[2][0].wid  # the seed window the winning path starts from
     return g.window(wid).other(holder), wid
 
 

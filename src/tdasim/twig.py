@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .scenario import NodeId, TimeWindow, to_seconds
 
@@ -29,8 +29,9 @@ class EmbeddingError(ValueError):
     """A packet trace cannot be realized as a walk in the graph."""
 
 
-@dataclass(frozen=True, order=True)
-class TwigVertex:
+class TwigVertex(NamedTuple):
+    """A (node, wid) pair; it compares, hashes and sorts as that tuple."""
+
     node: NodeId
     wid: int
 
@@ -57,8 +58,9 @@ class Twig:
     """Immutable after build(); all query methods are read-only.
 
     Holds the split pieces and O(pieces) index state over them, never arcs:
-    vertex ids in key order, and per vertex its window start, its
-    within-window mate and where its same-node arcs begin in its node's run.
+    the vertices in (node, wid) order, numbered in that order, and per vertex
+    its window start, its within-window mate and where its same-node arcs
+    begin in its node's run.
     The one thing that grows is a memo of the searches asked of the graph.
     """
 
@@ -75,34 +77,31 @@ class Twig:
         # _search's answers by (seeds, to_node, now); not a field, so equality
         # and repr ignore it
         self._memo: dict = {}
-        by_node: dict[NodeId, list[TimeWindow]] = {}
         by_pair: dict[tuple[NodeId, NodeId], list[TimeWindow]] = {}
         for w in self.split_windows:
-            by_node.setdefault(w.a, []).append(w)
-            by_node.setdefault(w.b, []).append(w)
             by_pair.setdefault(w.pair, []).append(w)
-        self._by_node = {n: tuple(sorted(ws, key=_wkey)) for n, ws in by_node.items()}
         self._by_pair = {p: tuple(sorted(ws, key=_wkey)) for p, ws in by_pair.items()}
-        # vertex i is keys[i]: ids follow key order, so comparing id sequences
-        # compares key sequences and the search's tie-break is unchanged
-        keys = tuple(sorted([(w.a, w.wid) for w in self.split_windows]
-                            + [(w.b, w.wid) for w in self.split_windows]))
-        self.vertices = tuple(TwigVertex(n, wid) for n, wid in keys)
-        self._keys = keys
-        self._ix = ix = {key: i for i, key in enumerate(keys)}
-        windows = [self._piece[wid] for _, wid in keys]
+        # vertex i is vertices[i]: ids follow (node, wid) order, so comparing id
+        # sequences compares vertex sequences and the search's tie-break holds
+        self.vertices = verts = tuple(sorted(
+            [TwigVertex(w.a, w.wid) for w in self.split_windows]
+            + [TwigVertex(w.b, w.wid) for w in self.split_windows]))
+        self._ix = ix = {v: i for i, v in enumerate(verts)}
+        windows = [self._piece[wid] for _, wid in verts]
         self._start = [w.start for w in windows]
-        self._mate = [ix[(w.other(n), w.wid)] for (n, _), w in zip(keys, windows)]
+        self._mate = [ix[(w.other(n), w.wid)] for (n, _), w in zip(verts, windows)]
         # a node's run: its vertex ids sorted by window end, with their window
         # starts alongside; the same-node arcs of u go to the run's vertices
         # other than u whose window ends after u's starts, a suffix found by
         # bisection, and weigh the gap between the two starts
         ids_of: dict[NodeId, list[int]] = {}
-        for i, (n, _) in enumerate(keys):
+        for i, (n, _) in enumerate(verts):
             ids_of.setdefault(n, []).append(i)
-        self._run: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * len(keys)
-        self._run_from = [0] * len(keys)
-        for ids in ids_of.values():
+        self._by_node: dict[NodeId, tuple[TimeWindow, ...]] = {}
+        self._run: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * len(verts)
+        self._run_from = [0] * len(verts)
+        for n, ids in ids_of.items():
+            self._by_node[n] = tuple(sorted([windows[i] for i in ids], key=_wkey))
             ids.sort(key=lambda i: windows[i].end)
             ends = [windows[i].end for i in ids]
             run = (tuple(ids), tuple([windows[i].start for i in ids]))
@@ -129,11 +128,8 @@ class Twig:
         pair = (a, b) if a < b else (b, a)
         return self._by_pair.get(pair, ())
 
-    def _has_vertex(self, v: TwigVertex) -> bool:
-        return v.key in self._ix
-
     def arc_weight(self, u: TwigVertex, v: TwigVertex) -> int | None:
-        if not (self._has_vertex(u) and self._has_vertex(v)):
+        if not (u in self._ix and v in self._ix):
             return None
         return _arc(self.t_tr, u.node, self._piece[u.wid], v.node, self._piece[v.wid])
 
@@ -258,59 +254,60 @@ def _split(windows: Sequence[TimeWindow]) -> tuple[list[TimeWindow], dict[int, i
 
 def shortest_path(
     g: Twig,
-    start: TwigVertex,
+    start: tuple[NodeId, int],
     to_node: NodeId,
     *,
     now: int | None = None,
 ) -> TwigPath | None:
-    """Minimum-weight path from start to any vertex of to_node.
+    """Minimum-weight path from start, a (node, wid) vertex, to any vertex of to_node.
 
     Ties break on fewer hops, then the lexicographically smallest sequence of
-    (node, wid) keys, so results are fully deterministic.  With now given,
+    (node, wid) vertices, so results are fully deterministic.  With now given,
     within-window edges are traversable only if the window is usable at that
     instant; same-node edges are never restricted.
     """
-    if not g._has_vertex(start):
+    if start not in g._ix:
         raise ValueError(f"vertex {start} is not in the graph")
-    found = _search(g, [(0, start.key)], to_node, now)
+    found = _search(g, [(0, start)], to_node, now)
     if found is None:
         return None
-    weight, _, keys = found
+    weight, _, verts = found
     piece = g._piece
     arc_weights = tuple(g.t_tr if nu != nv else abs(piece[wv].start - piece[wu].start)
-                        for (nu, wu), (nv, wv) in zip(keys, keys[1:]))
-    return TwigPath(tuple(TwigVertex(n, w) for n, w in keys), weight, arc_weights)
+                        for (nu, wu), (nv, wv) in zip(verts, verts[1:]))
+    return TwigPath(verts, weight, arc_weights)
 
 
 _NO_LABEL = (float("inf"), 0, ())
 
 
 def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: NodeId,
-            now: int | None) -> tuple[int, int, tuple[tuple[NodeId, int], ...]] | None:
-    """Least (weight, hops, key sequence) label reaching to_node, or None.
+            now: int | None) -> tuple[int, int, tuple[TwigVertex, ...]] | None:
+    """Least (weight, hops, vertex sequence) label reaching to_node, or None.
 
-    Each seed (offset, key) starts a path at that vertex with the offset as
+    Each seed (offset, (node, wid)) starts a path at that vertex with the offset as
     its weight, so one search ranks every seed at once.  The order is total
     and survives extension by an arc, so arc order cannot change the result,
     and a label no smaller than one already pushed for its vertex can never
     settle it: only labels that beat their vertex's best are pushed.  Labels
-    carry vertex ids, whose order is the key order.  The graph never changes,
-    so it answers a repeated search from its memo.
+    carry vertex ids, whose order is the vertex order, and the answer holds
+    the graph's own vertices.  The graph never changes, so it answers a
+    repeated search from its memo.
     """
     seeds = tuple(seeds)
     memo_key = (seeds, to_node, now)
     if memo_key in g._memo:
         return g._memo[memo_key]
-    keys, start, mate, run, run_from = g._keys, g._start, g._mate, g._run, g._run_from
+    verts, start, mate, run, run_from = g.vertices, g._start, g._mate, g._run, g._run_from
     t_tr = g.t_tr
-    best = [_NO_LABEL] * len(keys)  # least label pushed per vertex
-    heap = [(offset, 0, (g._ix[key],)) for offset, key in seeds]
+    best = [_NO_LABEL] * len(verts)  # least label pushed per vertex
+    heap = [(offset, 0, (g._ix[v],)) for offset, v in seeds]
     for label in heap:
         i = label[2][0]
         best[i] = min(best[i], label)
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
-    done = bytearray(len(keys))
+    done = bytearray(len(verts))
     found = None
     while heap:
         weight, hops, path = pop(heap)
@@ -318,9 +315,9 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
         if done[u]:
             continue
         done[u] = 1
-        node, wid = keys[u]
+        node, wid = verts[u]
         if node == to_node:
-            found = weight, hops, tuple(keys[i] for i in path)
+            found = weight, hops, tuple(verts[i] for i in path)
             break
         hops += 1
         # a settled vertex's best is below any extension, so it is never pushed
@@ -415,15 +412,15 @@ def _same_node_run(
 # dumps
 
 def _edges(g: Twig) -> Iterator[tuple[int, int, int, str]]:
-    """Every edge once as (u id, v id, weight, origin), in (u, v) key order.
+    """Every edge once as (u id, v id, weight, origin), in (u, v) vertex order.
 
     An undirected edge runs from the lower node id across a window, and from
     the containing window into the inner one; of two equal spans, the lower
     wid contains the other.  Succession edges run forward in time.
     """
-    keys, start, mate, run, run_from = g._keys, g._start, g._mate, g._run, g._run_from
-    end = [g._piece[wid].end for _, wid in keys]
-    for u, (_, wid) in enumerate(keys):
+    verts, start, mate, run, run_from = g.vertices, g._start, g._mate, g._run, g._run_from
+    end = [g._piece[wid].end for _, wid in verts]
+    for u, (_, wid) in enumerate(verts):
         s, e = start[u], end[u]
         ids, starts = run[u]
         out = []
@@ -431,7 +428,7 @@ def _edges(g: Twig) -> Iterator[tuple[int, int, int, str]]:
             v = ids[k]
             if e <= starts[k]:
                 out.append((v, starts[k] - s, "succession"))
-            elif v != u and (s, -e, wid) < (starts[k], -end[v], keys[v][1]):
+            elif v != u and (s, -e, wid) < (starts[k], -end[v], verts[v].wid):
                 out.append((v, starts[k] - s, "containment"))
         out.sort()
         for v, weight, origin in out:
@@ -451,12 +448,11 @@ def graph_to_dict(g: Twig) -> dict:
             "start": to_seconds(w.start),
             "end": to_seconds(w.end),
         })
-    keys = g._keys
     edges = []
     for u, v, weight, origin in _edges(g):
         edges.append({
-            "u": list(keys[u]),
-            "v": list(keys[v]),
+            "u": list(g.vertices[u]),
+            "v": list(g.vertices[v]),
             "kind": "directed" if origin == "succession" else "undirected",
             "weight": to_seconds(weight),
             "origin": origin,
@@ -486,15 +482,15 @@ def _graph_json(g: Twig) -> Iterator[str]:
     Each vertex and edge is one template row at the indent json.dumps(indent=2)
     writes, and %r of a float is the repr json writes, so the bytes are equal.
     """
-    keys, piece, labels = g._keys, g._piece, g._labels
+    verts, piece, labels = g.vertices, g._piece, g._labels
     yield '{\n  "t_tr": %r,\n  "vertices": ' % to_seconds(g.t_tr)
     yield from _json_list(
         _VERTEX_ROW % (node, wid, encode_basestring_ascii(labels[wid]),
                        to_seconds(piece[wid].start), to_seconds(piece[wid].end))
-        for node, wid in keys)
+        for node, wid in verts)
     yield ',\n  "edges": '
     yield from _json_list(
-        _EDGE_ROWS[origin] % (*keys[u], *keys[v], to_seconds(weight))
+        _EDGE_ROWS[origin] % (verts[u] + verts[v] + (to_seconds(weight),))
         for u, v, weight, origin in _edges(g))
     yield "\n}\n"
 

@@ -6,12 +6,14 @@ and ranks them with the documented ordering, the next-hop oracle runs it once
 per usable window of the holder, the edge oracle wires every edge of the
 same-node closure explicitly, so the edges the graph dumps and the arcs it
 derives on demand can be checked against it, and the split oracle cuts one
-pair at a time, rescanning from scratch.
+pair at a time, rescanning from scratch.  The window-derivation oracle is
+the state-machine sampling loop the grouped runs replaced.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from typing import Iterable, Sequence
 
@@ -29,6 +31,7 @@ from tdasim import (
     to_seconds,
     to_us,
 )
+from tdasim.scenario import _pair_range, _span_overlap
 
 NAMES = "SABCDEF"
 S, A, B, C, D, E, F = range(7)
@@ -125,7 +128,7 @@ def oracle_search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_n
     and survives extension by an arc, so arc order cannot change the result.
     Labels carry vertex ids, whose order is the key order.
     """
-    keys, start, mate, run, run_from = g._keys, g._start, g._mate, g._run, g._run_from
+    keys, start, mate, run, run_from = g.vertices, g._start, g._mate, g._run, g._run_from
     t_tr = g.t_tr
     heap = [(offset, 0, (g._ix[key],)) for offset, key in seeds]
     heapq.heapify(heap)
@@ -328,3 +331,56 @@ def oracle_split(windows: Sequence[TimeWindow]) -> tuple[list[TimeWindow], dict[
             provenance[next_wid] = w.wid
             next_wid += 1
     return pieces, provenance
+
+
+def oracle_derive_windows(nodes: Sequence[Node], range_rule=None, dt: float = 0.5) -> list[TimeWindow]:
+    """The sampling loop ``derive_windows`` replaced: a run_start/last_t state
+    machine over the samples, with its own position interpolation."""
+    def position(node: Node, t: int) -> tuple[float, float, float] | None:
+        wps = node.waypoints
+        assert wps is not None
+        if len(wps) == 1:
+            return (wps[0].x, wps[0].y, wps[0].z)
+        if t <= wps[0].t:
+            return (wps[0].x, wps[0].y, wps[0].z)
+        if t >= wps[-1].t:
+            return (wps[-1].x, wps[-1].y, wps[-1].z)
+        for p, q in zip(wps, wps[1:]):
+            if p.t <= t <= q.t:
+                f = (t - p.t) / (q.t - p.t)
+                return (p.x + f * (q.x - p.x), p.y + f * (q.y - p.y), p.z + f * (q.z - p.z))
+        return None
+
+    step = max(1, to_us(dt))
+    windows: list[tuple[tuple[int, int], int, int]] = []
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            pair = (a.id, b.id) if a.id < b.id else (b.id, a.id)
+            limit = _pair_range(a, b, range_rule)
+            span = _span_overlap(a, b)
+            if span is None:
+                continue
+            lo, hi = span
+            run_start: int | None = None
+            last_t = lo
+            t = lo
+            while True:
+                t = min(t, hi)
+                inside = math.dist(position(a, t), position(b, t)) <= limit
+                if inside and run_start is None:
+                    run_start = t
+                elif not inside and run_start is not None:
+                    if last_t > run_start:
+                        windows.append((pair, run_start, last_t))
+                    run_start = None
+                last_t = t
+                if t >= hi:
+                    break
+                t += step
+            if run_start is not None and hi > run_start:
+                windows.append((pair, run_start, hi))
+    windows.sort(key=lambda item: (min(item[0]), max(item[0]), item[1]))
+    return [
+        TimeWindow(wid=i + 1, a=pair[0], b=pair[1], start=start, end=end)
+        for i, (pair, start, end) in enumerate(windows)
+    ]

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no private
+name or attribute is set that nothing reads."""
 
 from __future__ import annotations
 
@@ -91,3 +92,41 @@ def test_no_unreferenced_private_names():
     paths = sorted(PACKAGE.glob("*.py"))
     assert len(paths) > 5
     assert unreferenced_private_names(paths) == []
+
+
+def private_attributes_set(tree: ast.Module) -> dict[str, int]:
+    """Each private `self._name` the module assigns, with its first line."""
+    found: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for t in targets:
+            if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                    and t.value.id == "self" and t.attr.startswith("_")
+                    and not t.attr.startswith("__")):
+                found.setdefault(t.attr, node.lineno)
+    return found
+
+
+def attributes_read(tree: ast.Module) -> set[str]:
+    """Attribute names the module reads; `x._a[i] = ...` writes into `_a`, not a read."""
+    stored_into = {id(sub.value) for sub in ast.walk(tree)
+                   if isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store)}
+    return {sub.attr for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+            and id(sub) not in stored_into}
+
+
+def test_no_unread_private_attributes():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(attributes_read, trees.values()))
+    set_attrs = {(path.name, name, line) for path, tree in trees.items()
+                 for name, line in private_attributes_set(tree).items()}
+    assert len(set_attrs) > 5
+    assert sorted(f"{file}:{line}: self.{name}" for file, name, line in set_attrs
+                  if name not in read) == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import A, B, C, D, E, F, S, make_demo
+from support import A, B, C, D, E, F, S, make_demo, oracle_derive_windows
 from tdasim import (
     AttackConfig,
     Node,
@@ -297,3 +297,26 @@ def test_derive_windows_properties(data):
         speed = 2 * 130  # generous bound on joint closing speed (m/s)
         assert abs(positions[0] - positions[1]) <= limit + speed * 1.0
     assert [w.wid for w in windows] == list(range(1, len(windows) + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derive_windows_matches_the_replaced_loop(data):
+    coord = st.floats(-40, 40, allow_nan=False)
+    nodes = []
+    for nid in range(data.draw(st.integers(2, 4), label="n_nodes")):
+        rng = data.draw(st.floats(10, 80), label=f"range{nid}")
+        if data.draw(st.booleans(), label=f"tower{nid}"):
+            wps = (Waypoint(data.draw(coord), data.draw(coord), 0, 0),)
+        else:
+            # waypoint times to the microsecond, so dt seldom divides a span
+            t = data.draw(st.floats(0, 20), label=f"t0_{nid}")
+            wps = []
+            for _ in range(data.draw(st.integers(2, 4), label=f"n_wps{nid}")):
+                wps.append(Waypoint(data.draw(coord), data.draw(coord), 0, to_us(t)))
+                t += data.draw(st.floats(1, 30))
+            wps = tuple(wps)
+        nodes.append(Node(nid, NodeKind.TOWER if len(wps) == 1 else NodeKind.UAV,
+                          waypoints=wps, range_m=rng))
+    dt = data.draw(st.floats(0.1, 5), label="dt")
+    assert derive_windows(nodes, dt=dt) == oracle_derive_windows(nodes, dt=dt)

@@ -311,6 +311,18 @@ def test_shortest_path_unreachable(demo_graph):
     assert shortest_path(g, TwigVertex(S, 1), F, now=1000 * SEC) is None
 
 
+def test_vertex_is_its_key():
+    g = build(demo_windows(), SEC)
+    for v in g.vertices:
+        assert v == v.key and hash(v) == hash(v.key)
+    assert [v.key for v in sorted(g.vertices)] == sorted(v.key for v in g.vertices)
+    assert list(g.vertices) == sorted(g.vertices)
+    sp = shortest_path(g, (S, 1), F)
+    assert sp == shortest_path(g, TwigVertex(S, 1), F)
+    assert sp.vertices[0] == (S, 1) and sp.vertices[-1].node == F
+    assert all(any(v is u for u in g.vertices) for v in sp.vertices)
+
+
 def test_shortest_path_unknown_vertex(demo_graph):
     with pytest.raises(ValueError, match="not in the graph"):
         shortest_path(demo_graph, TwigVertex(S, 99), F)
