@@ -25,7 +25,7 @@ from .generate import GenerationError, generate, preset_params
 from .metrics import MODES, OverheadModel, _fold, eor, evaluate_scenario
 from .scenario import Scenario, ScenarioError, dumps, load_scenario, scenario_to_dict
 from .simulator import PacketTrace, simulate, trace_to_dict
-from .twig import EmbeddingError, Twig, _dot_lines, _graph_json, build
+from .twig import EmbeddingError, Twig, _dot_lines, _graph_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,19 +148,19 @@ def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> None:
 
 def _cmd_graph(args: argparse.Namespace, parser: _Parser) -> None:
     s = _require_scenario(args, parser, "graph")
-    g = build(s.windows, s.t_tr)
+    g = s.graph
     _emit(_dot_lines(g, s.label) if args.format == "dot" else _graph_json(g), args.out)
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: _Parser) -> None:
     s = _require_scenario(args, parser, "simulate")
-    trace = simulate(s, build(s.windows, s.t_tr))
+    trace = simulate(s)
     _emit(dumps(trace_to_dict(trace)), args.out)
 
 
 def _cmd_detect(args: argparse.Namespace, parser: _Parser) -> None:
     s = _require_scenario(args, parser, "detect")
-    g = build(s.windows, s.t_tr)
+    g = s.graph
     greport, lscan = _judge(s, g, simulate(s, g), args.mode)
     _emit(dumps(_detect_payload(s, greport, lscan, args.mode)), args.out)
 
@@ -206,7 +206,7 @@ def _cmd_all(args: argparse.Namespace, parser: _Parser) -> None:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _emit(dumps(scenario_to_dict(s)), outdir / "scenario.json")
-    g = build(s.windows, s.t_tr)
+    g = s.graph
     _emit(_graph_json(g), outdir / "graph.json")
     trace = simulate(s, g)
     _emit(dumps(trace_to_dict(trace)), outdir / "trace.json")

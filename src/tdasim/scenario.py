@@ -16,9 +16,13 @@ import re
 import reprlib
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate, groupby, repeat
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from .twig import Twig
 
 MICROS = 1_000_000
 
@@ -154,6 +158,17 @@ class Scenario:
 
     def without_attack(self) -> "Scenario":
         return replace(self, attack=AttackConfig({}))
+
+    @cached_property
+    def graph(self) -> Twig:
+        """The time-window graph of the windows, built on first use and then kept.
+
+        It lives in the instance __dict__, not in a field, so equality, repr,
+        scenario_to_dict and replace ignore it, and a replaced scenario builds
+        its own.  Its search memo lives as long as the scenario.
+        """
+        from .twig import build  # twig imports this module
+        return build(self.windows, self.t_tr)
 
 
 def validate_scenario(s: Scenario) -> None:

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .scenario import (NodeId, Scenario, ScenarioError, _brief, _convert, _json_int, _read_json,
                        to_seconds, to_us)
-from .twig import Twig, _search, build, shortest_path
+from .twig import Twig, _search, shortest_path
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class PacketTrace:
 def simulate(s: Scenario, g: Twig | None = None) -> PacketTrace:
     """Replay the tracked message; returns delivered=False when it is dropped."""
     if g is None:
-        g = build(s.windows, s.t_tr)
+        g = s.graph
     hops = [HopRecord(s.source, s.creation_time)]
     holder, now, recv_wid = s.source, s.creation_time, None
     while holder != s.destination:

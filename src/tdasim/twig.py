@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -73,7 +74,6 @@ class Twig:
     def __post_init__(self) -> None:
         self._piece = {w.wid: w for w in self.split_windows}
         self._orig = {w.wid: w for w in self.originals}
-        self._labels = _window_labels(self.split_windows, self.provenance)
         # _search's answers by (seeds, to_node, now); not a field, so equality
         # and repr ignore it
         self._memo: dict = {}
@@ -108,6 +108,12 @@ class Twig:
             for i in ids:
                 self._run[i] = run
                 self._run_from[i] = bisect_right(ends, windows[i].start)
+
+    @cached_property
+    def _labels(self) -> dict[int, str]:
+        # only the labels and the dumps read these, so a graph that is only
+        # searched never makes them
+        return _window_labels(self.split_windows, self.provenance)
 
     def window(self, wid: int) -> TimeWindow:
         return self._piece[wid]

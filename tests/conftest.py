@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from support import make_demo
@@ -27,6 +29,25 @@ def two_attacker():
 def single_attacker():
     """Same network with only node A delaying by 5 s."""
     return make_demo({1: 5})
+
+
+@pytest.fixture
+def build_calls(monkeypatch) -> list:
+    """A list that gets one entry per graph build, through whichever tdasim
+    module binding of build the caller uses."""
+    from tdasim import twig
+    real, calls = twig.build, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "tdasim" or name.startswith("tdasim."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter):

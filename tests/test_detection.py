@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import statistics
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +102,23 @@ def test_global_never_flags_source_or_destination_in_demo(demo_graph):
         assert F not in report.flagged
         # the source is judged like everyone else, but it is honest here
         assert S not in report.flagged
+
+
+def test_whole_trace_check_is_fast_on_a_fresh_graph():
+    """Criterion 7's 100 ms bound on the 30-node whole-trace check, timed on a
+    new graph each repeat: a graph answers repeated searches from its memo, so
+    repeats on one graph would time memo lookups."""
+    big = generate(preset_params("table2-row5", 0))
+    trace = simulate(big, big.graph)
+    assert trace.delivered
+    samples = []
+    for _ in range(15):
+        g = build(big.windows, big.t_tr)
+        t0 = time.perf_counter()
+        detect_global(g, trace)
+        samples.append(time.perf_counter() - t0)
+    took = statistics.median(samples)
+    assert took < 0.100, f"whole-trace check took {took * 1000:.1f} ms (limit 100)"
 
 
 # ---------------------------------------------------------------------------

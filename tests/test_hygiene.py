@@ -130,3 +130,34 @@ def test_no_unread_private_attributes():
     assert len(set_attrs) > 5
     assert sorted(f"{file}:{line}: self.{name}" for file, name, line in set_attrs
                   if name not in read) == []
+
+
+def build_call_sites(tree: ast.Module) -> set[str]:
+    """The qualified name of each function that calls `build(...)` or `x.build(...)`."""
+    sites: set[str] = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "build":
+                    sites.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return sites
+
+
+def test_graphs_are_built_only_by_the_scenario_the_generator_and_the_phase_timer():
+    """A scenario's graph is built once: on first use, or by the generator's
+    check, which keeps it as the candidate's graph.  Only the phase timer
+    builds afresh, so that it times a real build on an empty search memo."""
+    sites = {f"{path.name}: {site}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for site in build_call_sites(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sites == {"scenario.py: Scenario.graph", "generate.py: _conclusive",
+                     "metrics.py: time_phases"}

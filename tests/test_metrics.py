@@ -7,9 +7,14 @@ import pytest
 from support import A, B, C, make_demo
 from tdasim import (
     MODES,
+    PRESETS,
     OverheadModel,
     eor,
     evaluate_scenario,
+    generate,
+    preset_params,
+    scenario_from_dict,
+    scenario_to_dict,
     score,
     time_phases,
 )
@@ -91,6 +96,14 @@ def test_time_phases_smoke(demo):
         time_phases(demo, repeats=0)
 
 
+def test_time_phases_builds_afresh_each_repeat(build_calls):
+    s = make_demo({A: 5})
+    s.graph  # a kept graph must not turn the build timing into a lookup
+    build_calls.clear()
+    time_phases(s, repeats=3)
+    assert len(build_calls) == 3
+
+
 def test_time_phases_skips_detection_when_dropped():
     timings = time_phases(make_demo({C: 1000}), repeats=2)
     assert set(timings) == {"build", "simulate"}
@@ -140,3 +153,22 @@ def test_evaluate_report_round_trips_to_dict():
     assert d["flagged"]["global"] == ["A"]
     assert d["eor"]["global"] == report.eor["global"]
     assert d["runtime"] == {}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_evaluating_a_generated_scenario_reuses_its_graph(preset, build_calls):
+    s = generate(preset_params(preset, 1))
+    generated = len(build_calls)
+    assert generated >= 1
+    evaluate_scenario(s, timing_repeats=0)
+    assert len(build_calls) == generated
+
+
+def test_reused_graph_gives_the_report_of_a_fresh_one():
+    for preset in sorted(PRESETS):
+        for seed in range(20):
+            s = generate(preset_params(preset, seed))
+            fresh = scenario_from_dict(scenario_to_dict(s))
+            assert "graph" in vars(s) and "graph" not in vars(fresh)
+            assert (evaluate_scenario(s, timing_repeats=0).to_dict()
+                    == evaluate_scenario(fresh, timing_repeats=0).to_dict()), (preset, seed)

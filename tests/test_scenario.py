@@ -136,6 +136,26 @@ def test_round_trip_preserves_everything():
     assert again == s
 
 
+def test_graph_is_built_once_and_kept_out_of_the_value(build_calls):
+    s, bare = make_demo({A: 5}), make_demo({A: 5})
+    g = s.graph
+    assert s.graph is g
+    assert len(build_calls) == 1
+    assert g.originals == s.windows
+    assert s == bare and repr(s) == repr(bare)
+    assert scenario_to_dict(s) == scenario_to_dict(bare)
+    assert "graph" not in vars(bare)
+
+
+def test_replaced_scenario_builds_its_own_graph(build_calls):
+    s = make_demo()
+    kept = s.graph
+    fewer = dataclasses.replace(s, windows=s.windows[:-1])
+    assert fewer.graph is not kept
+    assert fewer.graph.originals == s.windows[:-1]
+    assert len(build_calls) == 2
+
+
 def test_save_load_round_trip(tmp_path):
     s = make_demo({A: 5})
     path = tmp_path / "scenario.json"

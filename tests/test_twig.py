@@ -39,16 +39,20 @@ from tdasim import (
     TimeWindow,
     TwigVertex,
     build,
+    detect_global,
     embed_trace,
     graph_to_dict,
+    run_local_pipeline,
     shortest_path,
     simulate,
     to_dot,
     to_us,
+    window_misses,
 )
+from tdasim import twig
 from tdasim.cli import _emit
 from tdasim.scenario import dumps
-from tdasim.twig import _dot_lines, _graph_json, _split
+from tdasim.twig import _dot_lines, _graph_json, _split, _window_labels
 
 SEC = to_us(1)
 
@@ -658,6 +662,29 @@ def test_demo_dump_bytes_are_pinned():
     ):
         data = text.encode("utf-8")
         assert (hashlib.sha256(data).hexdigest(), len(data)) == pinned
+
+
+def test_window_labels_are_made_only_when_read(monkeypatch):
+    """A graph that is only replayed and judged never labels its pieces; the
+    first label or dump makes them once."""
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return _window_labels(*args)
+
+    monkeypatch.setattr(twig, "_window_labels", counting)
+    s = make_demo({A: 5, C: 6})
+    g = build(s.windows, s.t_tr)
+    trace = simulate(s, g)
+    detect_global(g, trace)
+    run_local_pipeline(s, g, trace)
+    window_misses(s, g, trace)
+    assert made == []
+    assert g.window_label(wid_of_label(g, "3.1")) == "3.1"
+    "".join(_graph_json(g))
+    to_dot(g, s.label)
+    assert len(made) == 1
 
 
 @settings(max_examples=150, deadline=None)
