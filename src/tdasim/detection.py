@@ -89,21 +89,16 @@ class NeighborTables:
     def from_scenario(cls, s: Scenario, g: Twig, node: NodeId) -> "NeighborTables":
         """The tables of node, read from the graph built over s's windows.
 
-        Split pieces keep their pair, so a node's pieces name its contacts.
+        Split pieces keep their pair, so the graph's pieces by neighbor name
+        the node's contacts and, through theirs, its two-hop neighborhood.
         """
-        def contacts(n: NodeId) -> set[NodeId]:
-            return {w.other(n) for w in g.windows_of_node(n)}
-
-        one = contacts(node)
-        two = set(one)
-        for n in one:
-            two |= contacts(n)
-        two.discard(node)
-        pieces = {nbr: g.windows_of_pair(node, nbr) for nbr in one}
+        pieces = dict(g.windows_by_neighbor(node))
+        one = frozenset(pieces)
+        two = one.union(*map(g.windows_by_neighbor, one)) - {node}
         originals = {nbr: tuple(sorted({g.original_of(w.wid) for w in ws},
                                        key=lambda w: (w.start, w.wid)))
                      for nbr, ws in pieces.items()}
-        return cls(node, frozenset(one), frozenset(two), originals, pieces)
+        return cls(node, one, two, originals, pieces)
 
 
 def detect_global(g: Twig, trace: PacketTrace) -> DetectionReport:

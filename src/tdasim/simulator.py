@@ -70,12 +70,11 @@ def simulate(s: Scenario, g: Twig | None = None) -> PacketTrace:
             return PacketTrace(s.source, s.destination, tuple(hops), False)
         neighbor, wid, planned = plan
         eps = s.attack.delay_us(holder)
-        if eps == 0:
-            send, target = planned, neighbor
-        elif planned + eps + s.t_tr <= g.original_of(wid).end:
+        # the plan crosses only windows usable at now, so a zero delay always fits
+        if planned + eps + s.t_tr <= g.original_of(wid).end:
             send, target = planned + eps, neighbor
         else:
-            hit = _retarget(s, holder, planned, eps)
+            hit = _retarget(g, holder, planned, eps)
             if hit is None:
                 return PacketTrace(s.source, s.destination, tuple(hops), False)
             send, target = hit
@@ -106,14 +105,12 @@ def _plan(
     return None
 
 
-def _retarget(s: Scenario, holder: NodeId, planned: int, eps: int) -> tuple[int, NodeId] | None:
-    """After a miss: next upcoming encounter of the holder that survives the delay."""
-    cands = sorted(
-        (w for w in s.windows if w.touches(holder) and w.start >= planned),
-        key=lambda w: (w.start, w.wid),
-    )
-    for w in cands:
-        if w.start + eps + s.t_tr <= w.end:
+def _retarget(g: Twig, holder: NodeId, planned: int, eps: int) -> tuple[int, NodeId] | None:
+    """After a miss: next upcoming original window of the holder that survives the delay."""
+    encounters = sorted({g.original_of(w.wid) for w in g.windows_of_node(holder)},
+                        key=lambda w: (w.start, w.wid))
+    for w in encounters:
+        if w.start >= planned and w.start + eps + g.t_tr <= w.end:
             return w.start + eps, w.other(holder)
     return None
 

@@ -16,8 +16,9 @@ import heapq
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .scenario import NodeId, TimeWindow, to_seconds
@@ -59,9 +60,9 @@ class Twig:
     """Immutable after build(); all query methods are read-only.
 
     Holds the split pieces and O(pieces) index state over them, never arcs:
-    the vertices in (node, wid) order, numbered in that order, and per vertex
-    its window start, its within-window mate and where its same-node arcs
-    begin in its node's run.
+    per node its pieces by neighbor, the vertices in (node, wid) order,
+    numbered in that order, and per vertex its window start, its
+    within-window mate and where its same-node arcs begin in its node's run.
     The one thing that grows is a memo of the searches asked of the graph.
     """
 
@@ -80,7 +81,12 @@ class Twig:
         by_pair: dict[tuple[NodeId, NodeId], list[TimeWindow]] = {}
         for w in self.split_windows:
             by_pair.setdefault(w.pair, []).append(w)
-        self._by_pair = {p: tuple(sorted(ws, key=_wkey)) for p, ws in by_pair.items()}
+        # node -> {neighbor -> the pair's pieces in (start, end, wid) order}; a
+        # pair's tuple is sorted once and shared by both its endpoints
+        by_nbr: dict[NodeId, dict[NodeId, tuple[TimeWindow, ...]]] = {}
+        for (a, b), ws in by_pair.items():
+            by_nbr.setdefault(a, {})[b] = by_nbr.setdefault(b, {})[a] = tuple(sorted(ws, key=_wkey))
+        self._by_nbr = {n: MappingProxyType(nbrs) for n, nbrs in by_nbr.items()}
         # vertex i is vertices[i]: ids follow (node, wid) order, so comparing id
         # sequences compares vertex sequences and the search's tie-break holds
         self.vertices = verts = tuple(sorted(
@@ -97,11 +103,9 @@ class Twig:
         ids_of: dict[NodeId, list[int]] = {}
         for i, (n, _) in enumerate(verts):
             ids_of.setdefault(n, []).append(i)
-        self._by_node: dict[NodeId, tuple[TimeWindow, ...]] = {}
         self._run: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * len(verts)
         self._run_from = [0] * len(verts)
         for n, ids in ids_of.items():
-            self._by_node[n] = tuple(sorted([windows[i] for i in ids], key=_wkey))
             ids.sort(key=lambda i: windows[i].end)
             ends = [windows[i].end for i in ids]
             run = (tuple(ids), tuple([windows[i].start for i in ids]))
@@ -127,17 +131,32 @@ class Twig:
     def vertex_label(self, v: TwigVertex, node_label: Callable[[NodeId], str] = str) -> str:
         return f"{node_label(v.node)}^{self._labels[v.wid]}"
 
-    def windows_of_node(self, node: NodeId) -> tuple[TimeWindow, ...]:
-        return self._by_node.get(node, ())
+    def windows_by_neighbor(self, node: NodeId) -> Mapping[NodeId, tuple[TimeWindow, ...]]:
+        """The node's pieces by neighbor, each pair's in (start, end, wid) order; read-only."""
+        return self._by_nbr.get(node, _NO_NEIGHBORS)
+
+    def windows_of_node(self, node: NodeId) -> Iterator[TimeWindow]:
+        """The node's pieces, grouped by neighbor."""
+        return chain.from_iterable(self.windows_by_neighbor(node).values())
 
     def windows_of_pair(self, a: NodeId, b: NodeId) -> tuple[TimeWindow, ...]:
-        pair = (a, b) if a < b else (b, a)
-        return self._by_pair.get(pair, ())
+        return self.windows_by_neighbor(a).get(b, ())
 
     def arc_weight(self, u: TwigVertex, v: TwigVertex) -> int | None:
+        """Weight of the arc u -> v, or None when there is none or either is not a vertex.
+
+        The graph's only arc rules: a window's endpoints are joined both ways at
+        t_tr, and a vertex to every other window of its node that ends after its
+        own window starts, at the gap between their start times.
+        """
         if not (u in self._ix and v in self._ix):
             return None
-        return _arc(self.t_tr, u.node, self._piece[u.wid], v.node, self._piece[v.wid])
+        wu, wv = self._piece[u.wid], self._piece[v.wid]
+        if u.node != v.node:
+            return self.t_tr if u.wid == v.wid else None
+        if u.wid == v.wid or wv.end <= wu.start:
+            return None
+        return abs(wv.start - wu.start)
 
     def usable(self, wid: int, now: int) -> bool:
         """Could a transmission over this split window start no earlier than now?
@@ -155,6 +174,9 @@ class Twig:
         return _latest_containing(self.windows_of_pair(a, b), send)
 
 
+_NO_NEIGHBORS: Mapping[NodeId, tuple[TimeWindow, ...]] = MappingProxyType({})
+
+
 def _wkey(w: TimeWindow) -> tuple[int, int, int]:
     return (w.start, w.end, w.wid)
 
@@ -162,21 +184,6 @@ def _wkey(w: TimeWindow) -> tuple[int, int, int]:
 def _latest_containing(pieces: Sequence[TimeWindow], instant: int) -> TimeWindow | None:
     """The last of the pieces, in (start, end, wid) order, whose span contains instant."""
     return next((w for w in reversed(pieces) if w.start <= instant <= w.end), None)
-
-
-def _arc(t_tr: int, nu: NodeId, wu: TimeWindow, nv: NodeId, wv: TimeWindow) -> int | None:
-    """Weight of the arc from vertex (nu, wu) to (nv, wv), or None.
-
-    The graph's only arc rules; both vertices must be in the graph.  A
-    window's endpoints are joined both ways at cost t_tr.  A vertex is joined
-    to every other window of its node that ends after its own window starts,
-    at the gap between their start times.
-    """
-    if nu != nv:
-        return t_tr if wu.wid == wv.wid else None
-    if wu.wid == wv.wid or wv.end <= wu.start:
-        return None
-    return abs(wv.start - wu.start)
 
 
 def _window_labels(pieces: Iterable[TimeWindow], provenance: Mapping[int, int]) -> dict[int, str]:
@@ -313,14 +320,12 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
         best[i] = min(best[i], label)
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
-    done = bytearray(len(verts))
     found = None
     while heap:
-        weight, hops, path = pop(heap)
+        weight, hops, path = label = pop(heap)
         u = path[-1]
-        if done[u]:
-            continue
-        done[u] = 1
+        if best[u] is not label:
+            continue  # superseded: its vertex's best label settles it
         node, wid = verts[u]
         if node == to_node:
             found = weight, hops, tuple(verts[i] for i in path)
@@ -387,31 +392,30 @@ def embed_trace(g: Twig, trace: PacketTrace) -> TwigPath:
         if i == len(hops) - 1:
             break
         for v2, w2 in _same_node_run(g, node, crossing[i - 1], crossing[i],
-                                     hops[i + 1].reception_time - g.t_tr, hop=i):
+                                     hops[i + 1].reception_time - g.t_tr):
             verts.append(v2)
             weights.append(w2)
     return TwigPath(tuple(verts), sum(weights), tuple(weights))
 
 
 def _same_node_run(
-    g: Twig, node: NodeId, recv: TimeWindow, send: TimeWindow, send_instant: int, hop: int,
+    g: Twig, node: NodeId, recv: TimeWindow, send: TimeWindow, send_instant: int,
 ) -> list[tuple[TwigVertex, int]]:
+    """The node's vertices after recv up to send, each with the weight of the arc into it.
+
+    The run is monotone in (start, end, wid), and each step u -> v is an arc
+    as v ends after u starts: v holds send_instant, and u starts no later than
+    v (ascending; windows are never empty) or than recv (descending), which
+    holds the earlier previous send instant.
+    """
     if recv.wid == send.wid:
         return []
     kr, ks = _wkey(recv), _wkey(send)
-    mids = [w for w in g.windows_of_node(node)
-            if w.start <= send_instant <= w.end and min(kr, ks) < _wkey(w) < max(kr, ks)]
-    if kr > ks:
-        mids.reverse()
+    mids = sorted((w for w in g.windows_of_node(node)
+                   if w.start <= send_instant <= w.end and min(kr, ks) < _wkey(w) < max(kr, ks)),
+                  key=_wkey, reverse=kr > ks)
     run = [recv, *mids, send]
-    arcs = [_arc(g.t_tr, node, u, node, v) for u, v in zip(run, run[1:])]
-    if None in arcs:  # fall back to the direct arc
-        run, arcs = [recv, send], [_arc(g.t_tr, node, recv, node, send)]
-    if arcs[0] is None:
-        raise EmbeddingError(
-            f"hop {hop}: node {node} cannot move from window {recv.wid} to {send.wid}"
-        )
-    return [(TwigVertex(node, w.wid), arc) for w, arc in zip(run[1:], arcs)]
+    return [(TwigVertex(node, v.wid), abs(v.start - u.start)) for u, v in zip(run, run[1:])]
 
 
 # ---------------------------------------------------------------------------

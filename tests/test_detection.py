@@ -18,6 +18,7 @@ from tdasim import (
     PRESETS,
     PacketTrace,
     RelayInfo,
+    TimeWindow,
     build,
     detect_global,
     detect_local,
@@ -71,6 +72,25 @@ def test_global_scan_evidence(demo_graph):
         (S, 1.0, 1.0, False, A),
     ]
     assert all(not c.inconclusive for c in checks)
+
+
+def test_global_check_without_a_usable_path_is_inconclusive():
+    """A holds the message until its window to D is too short to use: from
+    A's reception no path reaches D, so A's check is inconclusive and flags
+    nobody, and the scan goes on against the same anchor."""
+    g = build((TimeWindow(1, S, A, 0, 20 * SEC), TimeWindow(2, S, B, 0, 20 * SEC),
+               TimeWindow(3, B, A, 0, 20 * SEC), TimeWindow(4, A, D, 20 * SEC, to_us(21.5))),
+              SEC)
+    arrival = to_us(22.2)
+    trace = PacketTrace(S, D, (HopRecord(S, 0), HopRecord(B, 5 * SEC), HopRecord(A, 21 * SEC),
+                               HopRecord(D, arrival)), True, arrival)
+    report = detect_global(g, trace)
+    assert (report.fp_weight, report.sp_weight) == (23 * SEC, 22 * SEC)
+    check = report.evidence[0]
+    assert (check.node, check.anchor) == (A, D)
+    assert check.inconclusive and not check.flagged
+    assert check.shortest_weight is None
+    assert A not in report.flagged
 
 
 def test_global_single_attacker(demo_graph):

@@ -46,6 +46,13 @@ def test_infeasible_params_raise(params):
         generate(params)
 
 
+def test_no_candidate_exhausts_the_attempts():
+    """Feasible counts, but a single window leaves no room for a backbone
+    relay, so every attempt draws no candidate."""
+    with pytest.raises(GenerationError, match="no viable scenario in 200 attempts"):
+        generate(GenerationParams(3, 1, 0))
+
+
 def test_unknown_preset_raises():
     with pytest.raises(GenerationError, match="unknown preset"):
         preset_params("table2-row9")

@@ -132,6 +132,12 @@ def test_no_unread_private_attributes():
                   if name not in read) == []
 
 
+def called_name(call: ast.Call) -> str | None:
+    """The name a call invokes: `f` for `f(...)` and for `x.f(...)`."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def build_call_sites(tree: ast.Module) -> set[str]:
     """The qualified name of each function that calls `build(...)` or `x.build(...)`."""
     sites: set[str] = set()
@@ -141,11 +147,8 @@ def build_call_sites(tree: ast.Module) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "build":
-                    sites.add(scope or "<module>")
+            if isinstance(child, ast.Call) and called_name(child) == "build":
+                sites.add(scope or "<module>")
             visit(child, scope)
 
     visit(tree, "")
@@ -161,3 +164,23 @@ def test_graphs_are_built_only_by_the_scenario_the_generator_and_the_phase_timer
              for site in build_call_sites(ast.parse(path.read_text(encoding="utf-8")))}
     assert sites == {"scenario.py: Scenario.graph", "generate.py: _conclusive",
                      "metrics.py: time_phases"}
+
+
+def window_reads_outside_build(tree: ast.Module) -> list[int]:
+    """The line of each `.windows` read that is not the first argument of a `build(...)` call."""
+    building = {id(call.args[0]) for call in ast.walk(tree)
+                if isinstance(call, ast.Call) and called_name(call) == "build" and call.args}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "windows"
+            and isinstance(node.ctx, ast.Load) and id(node) not in building]
+
+
+def test_scenario_windows_are_read_only_to_build_a_graph():
+    """The graph indexes the windows by node and neighbor, so outside the
+    scenario module a scenario's windows are read only to build a graph, and
+    every other question is asked of the graph instead of rescanning them."""
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "scenario.py"]
+    assert len(paths) > 5
+    assert [f"{path.name}:{line}" for path in paths
+            for line in window_reads_outside_build(ast.parse(path.read_text(encoding="utf-8")))
+            ] == []

@@ -190,6 +190,30 @@ def test_from_dict_reports_missing_keys():
             scenario_from_dict(bad)
 
 
+def edited_demo(edit) -> dict:
+    doc = scenario_to_dict(make_demo())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ([1, 2], "scenario document must be a JSON object"),
+        (edited_demo(lambda d: d.update(attack=[1])), "attack must be an object"),
+        (edited_demo(lambda d: d["nodes"][0].update(id=-1)), "node ids must be non-negative"),
+        (edited_demo(lambda d: d["nodes"][0].update(waypoints=[])),
+         "node 0: empty waypoint list"),
+        (edited_demo(lambda d: d.update(source=99)), "source references unknown node"),
+    ],
+    ids=["not-object", "attack-not-object", "negative-node-id", "empty-waypoints",
+         "unknown-source"],
+)
+def test_from_dict_names_each_rejection(doc, message):
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(doc)
+
+
 def test_load_rejects_bad_files(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ScenarioError, match="cannot read"):
@@ -267,6 +291,11 @@ def test_derive_windows_requires_range_or_rule():
     mover = Node(0, NodeKind.UAV, waypoints=(Waypoint(0, 0, 0, 0), Waypoint(1, 0, 0, SEC)))
     with pytest.raises(ScenarioError, match="range"):
         derive_windows([mover, _static(1, 0, 5)])
+
+
+def test_derive_windows_requires_waypoints():
+    with pytest.raises(ScenarioError, match="waypoints required to derive windows"):
+        derive_windows([_static(1, 0, 10), Node(2, range_m=10)])
 
 
 def test_derive_windows_rejects_bad_dt():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import json
@@ -33,15 +34,21 @@ from support import (
     wid_of_label,
 )
 from tdasim import (
+    PRESETS,
+    AttackConfig,
     EmbeddingError,
     HopRecord,
+    Node,
     PacketTrace,
+    Scenario,
     TimeWindow,
     TwigVertex,
     build,
     detect_global,
     embed_trace,
+    generate,
     graph_to_dict,
+    preset_params,
     run_local_pipeline,
     shortest_path,
     simulate,
@@ -315,6 +322,15 @@ def test_shortest_path_unreachable(demo_graph):
     assert shortest_path(g, TwigVertex(S, 1), F, now=1000 * SEC) is None
 
 
+def test_arc_weight_of_a_missing_vertex_is_none(demo_graph):
+    g = demo_graph
+    inside = TwigVertex(S, 1)
+    assert g.arc_weight(inside, TwigVertex(A, 1)) == g.t_tr
+    for outside in (TwigVertex(C, 1), TwigVertex(S, 999)):  # C is not on window 1
+        assert g.arc_weight(inside, outside) is None
+        assert g.arc_weight(outside, inside) is None
+
+
 def test_vertex_is_its_key():
     g = build(demo_windows(), SEC)
     for v in g.vertices:
@@ -474,6 +490,60 @@ def test_embed_rejects_mismatched_window(demo_graph):
     )
     with pytest.raises(EmbeddingError, match="recorded window"):
         embed_trace(g, trace)
+
+
+def test_embed_runs_down_a_nesting_chain():
+    """The relay receives in its innermost window and sends in its outermost:
+    its run walks out through the nested windows in descending start order,
+    so the steps telescope to the gap between the two starts."""
+    recv = TimeWindow(1, 0, 1, 10 * SEC, 30 * SEC)
+    send = TimeWindow(2, 1, 2, 0, 40 * SEC)
+    g = build((recv, send, TimeWindow(3, 1, 3, 3 * SEC, 35 * SEC),
+               TimeWindow(4, 1, 4, 6 * SEC, 32 * SEC)), SEC)
+    trace = PacketTrace(0, 2, (HopRecord(0, 0), HopRecord(1, 11 * SEC), HopRecord(2, 21 * SEC)),
+                        True, 21 * SEC)
+    fp = embed_trace(g, trace)
+    assert [v.wid for v in fp.vertices] == [1, 1, 4, 3, 2, 2]
+    assert fp.weights == (SEC, 4 * SEC, 3 * SEC, 3 * SEC, SEC)
+
+
+@functools.cache
+def generated_graph(preset: str, seed: int):
+    s = generate(preset_params(preset, seed))
+    return build(s.windows, s.t_tr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["small", "grid", "generated"]))
+def test_embedded_steps_are_graph_arcs(seed, source):
+    """Replays with random relay delays, between random node pairs: every
+    step of the embedded path is an arc of the graph, of the step's weight,
+    and each relay's same-node steps run monotone in start, so they add up
+    to the gap between its receive and send windows' starts.  On the 5 s
+    grid, touching windows and equal spans are common."""
+    rng = random.Random(seed)
+    if source == "small":
+        g = random_small_twig(rng, max_vertices=30)
+    elif source == "grid":
+        g = build(coarse_windows(rng), SEC)
+    else:
+        g = generated_graph(rng.choice(sorted(PRESETS)), rng.randint(0, 4))
+    nodes = sorted({v.node for v in g.vertices})
+    for _ in range(8):
+        src, dst = rng.sample(nodes, 2)
+        delays = {n: rng.choice((0, 0, 1, 3, 7, 12)) * SEC for n in nodes if n != dst}
+        s = Scenario(tuple(map(Node, nodes)), g.originals, g.t_tr, src, dst,
+                     attack=AttackConfig(delays))
+        trace = simulate(s, g)
+        if not trace.delivered:
+            continue
+        fp = embed_trace(g, trace)
+        steps = list(zip(fp.vertices, fp.vertices[1:]))
+        assert list(fp.weights) == [g.arc_weight(u, v) for u, v in steps]
+        crossings = [i for i, (u, v) in enumerate(steps) if u.node != v.node]
+        for i, j in zip(crossings, crossings[1:]):
+            recv, send = g.window(fp.vertices[i + 1].wid), g.window(fp.vertices[j].wid)
+            assert sum(fp.weights[i + 1:j]) == abs(send.start - recv.start)
 
 
 # ---------------------------------------------------------------------------
