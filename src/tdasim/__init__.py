@@ -64,7 +64,6 @@ from .simulator import (
     window_misses,
 )
 from .twig import (
-    EmbeddingError,
     Twig,
     TwigPath,
     TwigVertex,
@@ -78,8 +77,7 @@ from .twig import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Alert", "AttackConfig", "DetectionReport",
-    "EmbeddingError", "GenerationError", "GenerationParams", "GlobalCheck",
+    "Alert", "AttackConfig", "DetectionReport", "GenerationError", "GenerationParams", "GlobalCheck",
     "HopMetadata", "HopRecord", "InconsistentTrace", "LocalCheck", "LocalScan",
     "MetricsReport", "MICROS", "MODES", "NeighborTables", "Node", "NodeId", "NodeKind",
     "OverheadModel", "PacketTrace", "PRESETS", "RelayInfo", "Scenario",

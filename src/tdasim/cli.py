@@ -25,7 +25,7 @@ from .generate import GenerationError, generate, preset_params
 from .metrics import MODES, OverheadModel, _fold, eor, evaluate_scenario
 from .scenario import Scenario, ScenarioError, dumps, load_scenario, scenario_to_dict
 from .simulator import PacketTrace, simulate, trace_to_dict
-from .twig import EmbeddingError, Twig, _dot_lines, _graph_json
+from .twig import Twig, _dot_lines, _graph_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,7 +234,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
-    except (ScenarioError, GenerationError, InconsistentTrace, EmbeddingError, OSError) as exc:
+    except (ScenarioError, GenerationError, InconsistentTrace, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,27 +11,61 @@ the message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Mapping, Union
 
 from .scenario import NodeId, Scenario, TimeWindow, to_seconds
 from .simulator import PacketTrace
-from .twig import EmbeddingError, Twig, _latest_containing, embed_trace, shortest_path
+from .twig import InconsistentTrace, Twig, _latest_containing, embed_trace, shortest_path
+
+Label = Callable[[NodeId], str]
 
 
-class InconsistentTrace(ValueError):
-    """The trace contradicts the window schedule and cannot be judged."""
+# ---------------------------------------------------------------------------
+# JSON form: fields are written in declaration order, so dumps are diffable;
+# a value is written as is unless its field states a conversion through _as,
+# and None is always written as null
+
+def _as(convert: Callable[[Any, Label], Any], default: Any = MISSING) -> Any:
+    """A dataclass field written to JSON as convert(value, label)."""
+    return field(default=default, metadata={"json": convert})
+
+
+def _node(n: NodeId, label: Label) -> str:
+    return label(n)
+
+
+def _nodes(ns: tuple[NodeId, ...], label: Label) -> list[str]:
+    return [label(n) for n in ns]
+
+
+def _seconds(t: int, label: Label) -> float:
+    return to_seconds(t)
+
+
+def _each(items: tuple, label: Label) -> list[dict]:
+    return [_to_dict(x, label) for x in items]
+
+
+def _to_dict(obj: Any, label: Label) -> dict:
+    """The JSON form of a dataclass, each field converted as it states."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        convert = f.metadata.get("json")
+        out[f.name] = value if value is None or convert is None else convert(value, label)
+    return out
 
 
 @dataclass(frozen=True)
 class GlobalCheck:
     """One backward-scan comparison (segment weight vs. shortest-path weight)."""
 
-    node: NodeId
-    reception_time: int
-    anchor: NodeId
-    segment_weight: int
-    shortest_weight: int | None
+    node: NodeId = _as(_node)
+    reception_time: int = _as(_seconds)
+    anchor: NodeId = _as(_node)
+    segment_weight: int = _as(_seconds)
+    shortest_weight: int | None = _as(_seconds)
     flagged: bool
     inconclusive: bool = False
 
@@ -40,25 +74,25 @@ class GlobalCheck:
 class LocalCheck:
     """One timing condition evaluated by an observer against a subject node."""
 
-    observer: NodeId
-    subject: NodeId
+    observer: NodeId = _as(_node)
+    subject: NodeId = _as(_node)
     kind: str  # "predecessor" or "skipped_window"
     flagged: bool
-    window: int | None = None       # wid consulted (split for predecessor checks)
-    delta: int | None = None        # reception time minus window start
-    immediate: bool | None = None   # predecessor forwarded with zero dwell
-    held_until: int | None = None   # two-hop: earliest the subject could have delivered
-    earliest_via_prev: int | None = None  # two-hop: earliest arrival via the route taken
+    window: int | None = None  # wid consulted (split for predecessor checks)
+    delta: int | None = _as(_seconds, None)  # reception time minus window start
+    immediate: bool | None = None  # predecessor forwarded with zero dwell
+    held_until: int | None = _as(_seconds, None)  # two-hop: earliest the subject could deliver
+    earliest_via_prev: int | None = _as(_seconds, None)  # two-hop: earliest arrival via the route taken
 
 
 @dataclass(frozen=True)
 class DetectionReport:
     mode: str  # "global" | "local"
-    flagged: tuple[NodeId, ...]
-    evidence: tuple[Union[GlobalCheck, LocalCheck], ...]
-    observer: NodeId | None = None
-    fp_weight: int | None = None
-    sp_weight: int | None = None
+    flagged: tuple[NodeId, ...] = _as(_nodes)
+    evidence: tuple[Union[GlobalCheck, LocalCheck], ...] = _as(_each)
+    observer: NodeId | None = _as(_node, None)
+    fp_weight: int | None = _as(_seconds, None)
+    sp_weight: int | None = _as(_seconds, None)
 
 
 @dataclass(frozen=True)
@@ -105,10 +139,7 @@ def detect_global(g: Twig, trace: PacketTrace) -> DetectionReport:
     """Backward shortest-path comparison over the whole trace (needs full knowledge)."""
     if not trace.delivered:
         raise InconsistentTrace("only delivered traces can be checked")
-    try:
-        fp = embed_trace(g, trace)
-    except EmbeddingError as exc:
-        raise InconsistentTrace(str(exc)) from exc
+    fp = embed_trace(g, trace)
     receive_idx = [0]
     for k in range(1, len(fp.vertices)):
         if fp.vertices[k].node != fp.vertices[k - 1].node:
@@ -195,9 +226,9 @@ def detect_local(
 class Alert:
     """Propagation bookkeeping: who learns about a flag (never alters routing)."""
 
-    observer: NodeId
-    flagged: NodeId
-    informed: tuple[NodeId, ...]  # the observer's two-hop neighborhood
+    observer: NodeId = _as(_node)
+    flagged: NodeId = _as(_node)
+    informed: tuple[NodeId, ...] = _as(_nodes)  # the observer's two-hop neighborhood
 
 
 @dataclass(frozen=True)
@@ -235,60 +266,18 @@ def run_local_pipeline(s: Scenario, g: Twig, trace: PacketTrace) -> LocalScan:
 
 
 # ---------------------------------------------------------------------------
-# JSON form (field order fixed so dumps are diffable)
+# whole-report JSON
 
-def _check_to_dict(check: Union[GlobalCheck, LocalCheck], label: Callable[[NodeId], str]) -> dict:
-    if isinstance(check, GlobalCheck):
-        return {
-            "node": label(check.node),
-            "reception_time": to_seconds(check.reception_time),
-            "anchor": label(check.anchor),
-            "segment_weight": to_seconds(check.segment_weight),
-            "shortest_weight": None if check.shortest_weight is None
-            else to_seconds(check.shortest_weight),
-            "flagged": check.flagged,
-            "inconclusive": check.inconclusive,
-        }
-    return {
-        "observer": label(check.observer),
-        "subject": label(check.subject),
-        "kind": check.kind,
-        "flagged": check.flagged,
-        "window": check.window,
-        "delta": None if check.delta is None else to_seconds(check.delta),
-        "immediate": check.immediate,
-        "held_until": None if check.held_until is None else to_seconds(check.held_until),
-        "earliest_via_prev": None if check.earliest_via_prev is None
-        else to_seconds(check.earliest_via_prev),
-    }
+def report_to_dict(report: DetectionReport, label: Label = str) -> dict:
+    """The report's fields, leaving out observer, fp_weight and sp_weight when None."""
+    return {k: v for k, v in _to_dict(report, label).items()
+            if v is not None or k not in ("observer", "fp_weight", "sp_weight")}
 
 
-def report_to_dict(report: DetectionReport, label: Callable[[NodeId], str] = str) -> dict:
-    out: dict = {
-        "mode": report.mode,
-        "flagged": [label(n) for n in report.flagged],
-        "evidence": [_check_to_dict(c, label) for c in report.evidence],
-    }
-    if report.observer is not None:
-        out["observer"] = label(report.observer)
-    if report.fp_weight is not None:
-        out["fp_weight"] = to_seconds(report.fp_weight)
-    if report.sp_weight is not None:
-        out["sp_weight"] = to_seconds(report.sp_weight)
-    return out
-
-
-def local_scan_to_dict(scan: LocalScan, label: Callable[[NodeId], str] = str) -> dict:
+def local_scan_to_dict(scan: LocalScan, label: Label = str) -> dict:
     return {
         "mode": "local",
-        "flagged": [label(n) for n in scan.merged_flagged()],
+        "flagged": _nodes(scan.merged_flagged(), label),
         "reports": [report_to_dict(r, label) for r in scan.reports],
-        "alerts": [
-            {
-                "observer": label(a.observer),
-                "flagged": label(a.flagged),
-                "informed": [label(n) for n in a.informed],
-            }
-            for a in scan.alerts
-        ],
+        "alerts": _each(scan.alerts, label),
     }

@@ -107,18 +107,12 @@ class TimeWindow:
     def pair(self) -> tuple[NodeId, NodeId]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
-    def touches(self, node: NodeId) -> bool:
-        return node == self.a or node == self.b
-
     def other(self, node: NodeId) -> NodeId:
         if node == self.a:
             return self.b
         if node == self.b:
             return self.a
         raise ValueError(f"node {node} not on window {self.wid}")
-
-    def contains(self, t: int) -> bool:
-        return self.start <= t <= self.end
 
 
 @dataclass(frozen=True)

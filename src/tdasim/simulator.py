@@ -99,10 +99,9 @@ def _plan(
     path = shortest_path(g, (holder, recv_wid), s.destination, now=now)
     if path is None:
         return None
-    for u, v in zip(path.vertices, path.vertices[1:]):
-        if u.node != v.node:
-            return v.node, u.wid, max(now, g.window(u.wid).start)
-    return None
+    # the path runs from the holder to the destination, so it crosses a window
+    return next((v.node, u.wid, max(now, g.window(u.wid).start))
+                for u, v in zip(path.vertices, path.vertices[1:]) if u.node != v.node)
 
 
 def _retarget(g: Twig, holder: NodeId, planned: int, eps: int) -> tuple[int, NodeId] | None:
@@ -141,7 +140,8 @@ def window_misses(s: Scenario, g: Twig, trace: PacketTrace) -> dict[NodeId, bool
     out: dict[NodeId, bool] = {}
     for i in range(len(trace.hops) - 1):
         h = trace.hops[i]
-        plan = _plan(s, g, h.node, h.reception_time, h.window)
+        # a benign holder at the destination plans no hop
+        plan = None if h.node == s.destination else _plan(s, g, h.node, h.reception_time, h.window)
         if plan is None:
             continue
         neighbor, wid, _ = plan

@@ -27,8 +27,8 @@ if TYPE_CHECKING:
     from .simulator import PacketTrace
 
 
-class EmbeddingError(ValueError):
-    """A packet trace cannot be realized as a walk in the graph."""
+class InconsistentTrace(ValueError):
+    """The trace contradicts the window schedule and cannot be judged."""
 
 
 class TwigVertex(NamedTuple):
@@ -363,24 +363,33 @@ def embed_trace(g: Twig, trace: PacketTrace) -> TwigPath:
     the send instant (reception time minus t_tr).  Between a relay's receive
     window and its send window, the relay's other windows that also contain
     the upcoming send instant are inserted in span order, which reproduces the
-    same-node vertex runs of hand-worked followed paths.
+    same-node vertex runs of hand-worked followed paths.  A hop is rejected
+    when no encounter of its pair lasts from send to arrival; that need not be
+    the crossed piece's, as a nested piece can hold a longer one's send instant.
     """
     hops = trace.hops
     if len(hops) < 2:
-        raise EmbeddingError("trace has no transmissions to embed")
+        raise InconsistentTrace("trace has no transmissions to embed")
     crossing: list[TimeWindow] = []
     for i in range(1, len(hops)):
+        a, b = hops[i - 1].node, hops[i].node
         send = hops[i].reception_time - g.t_tr
-        w = g.send_window(hops[i - 1].node, hops[i].node, send)
+        w = g.send_window(a, b, send)
         if w is None:
-            raise EmbeddingError(
-                f"hop {i}: no window between nodes {hops[i - 1].node} and "
-                f"{hops[i].node} contains send instant {to_seconds(send)}"
+            raise InconsistentTrace(
+                f"hop {i}: no window between nodes {a} and {b} contains send instant "
+                f"{to_seconds(send)}"
             )
         if hops[i].window is not None and hops[i].window != w.wid:
-            raise EmbeddingError(
+            raise InconsistentTrace(
                 f"hop {i}: recorded window {hops[i].window} does not contain "
                 f"send instant {to_seconds(send)} (expected {w.wid})"
+            )
+        if not any(p.start <= send <= p.end and hops[i].reception_time <= g.original_of(p.wid).end
+                   for p in g.windows_of_pair(a, b)):
+            raise InconsistentTrace(
+                f"hop {i}: no encounter between nodes {a} and {b} lasts from send instant "
+                f"{to_seconds(send)} to arrival {to_seconds(hops[i].reception_time)}"
             )
         crossing.append(w)
     verts = [TwigVertex(hops[0].node, crossing[0].wid)]

@@ -164,7 +164,7 @@ def oracle_neighbor_tables(s: Scenario, g: Twig, node: int) -> NeighborTables:
     for w in s.windows:
         contacts[w.a].add(w.b)
         contacts[w.b].add(w.a)
-        if w.touches(node):
+        if node in (w.a, w.b):
             mine.setdefault(w.other(node), []).append(w)
     one = contacts[node]
     two = set(one)

@@ -289,13 +289,15 @@ def _demo_doc(edit) -> str:
         _demo_doc(lambda d: d["nodes"][0].update(id=-1)),
         _demo_doc(lambda d: d["nodes"][0].update(waypoints=[])),
         _demo_doc(lambda d: d.update(source=99)),
+        _demo_doc(lambda d: d["windows"][0].pop("end")),
     ],
     ids=["missing-keys", "nan-time", "inf-time", "nodes-not-objects", "windows-not-list",
          "attack-key-not-int", "t_tr-not-number", "name-list", "name-number", "nan-range",
          "inf-range", "nan-speed", "nan-waypoint", "inf-waypoint", "wid-float", "a-string",
          "b-bool", "node-id-float", "source-bool", "destination-float", "attack-key-padded",
          "attack-key-signed", "utf16-bom", "deep-nesting", "long-integer", "not-object",
-         "attack-not-object", "negative-node-id", "empty-waypoints", "unknown-source"],
+         "attack-not-object", "negative-node-id", "empty-waypoints", "unknown-source",
+         "window-missing-keys"],
 )
 def test_invalid_scenario_exits_2(text, tmp_path, capsys):
     bad = tmp_path / "bad.json"

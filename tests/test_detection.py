@@ -15,9 +15,11 @@ from tdasim import (
     HopRecord,
     InconsistentTrace,
     NeighborTables,
+    Node,
     PRESETS,
     PacketTrace,
     RelayInfo,
+    Scenario,
     TimeWindow,
     build,
     detect_global,
@@ -74,23 +76,38 @@ def test_global_scan_evidence(demo_graph):
     assert all(not c.inconclusive for c in checks)
 
 
-def test_global_check_without_a_usable_path_is_inconclusive():
-    """A holds the message until its window to D is too short to use: from
-    A's reception no path reaches D, so A's check is inconclusive and flags
-    nobody, and the scan goes on against the same anchor."""
+def test_global_rejects_a_hop_no_encounter_can_carry():
+    """B sends to A at 20 s, as their only window [0, 20] closes, and A sends to
+    D at 21.2 s over [20, 21.5]: with t_tr 1 s neither transmission ends inside
+    an encounter of its pair, so the trace cannot be judged."""
     g = build((TimeWindow(1, S, A, 0, 20 * SEC), TimeWindow(2, S, B, 0, 20 * SEC),
                TimeWindow(3, B, A, 0, 20 * SEC), TimeWindow(4, A, D, 20 * SEC, to_us(21.5))),
               SEC)
     arrival = to_us(22.2)
     trace = PacketTrace(S, D, (HopRecord(S, 0), HopRecord(B, 5 * SEC), HopRecord(A, 21 * SEC),
                                HopRecord(D, arrival)), True, arrival)
-    report = detect_global(g, trace)
-    assert (report.fp_weight, report.sp_weight) == (23 * SEC, 22 * SEC)
-    check = report.evidence[0]
-    assert (check.node, check.anchor) == (A, D)
-    assert check.inconclusive and not check.flagged
-    assert check.shortest_weight is None
-    assert A not in report.flagged
+    with pytest.raises(InconsistentTrace, match=f"hop 2: no encounter between nodes {B} and {A}"):
+        detect_global(g, trace)
+    last_hop = PacketTrace(A, D, (HopRecord(A, 0), HopRecord(D, arrival)), True, arrival)
+    with pytest.raises(InconsistentTrace, match=f"hop 1: no encounter between nodes {A} and {D}"):
+        detect_global(g, last_hop)
+
+
+def test_global_judges_a_hop_carried_by_an_enclosing_encounter():
+    """Nodes 0 and 1 meet over [0, 20] s and, nested, over [5, 12] s.  The
+    replay sends 0 -> 1 at 11.5 s, arriving after the nested window closes,
+    and records the nested piece, the latest that holds the send instant; the
+    enclosing encounter carries the hop, so the trace is judged."""
+    s = Scenario(nodes=tuple(Node(n) for n in range(3)),
+                 windows=(TimeWindow(1, 0, 1, 0, 20 * SEC), TimeWindow(2, 0, 1, 5 * SEC, 12 * SEC),
+                          TimeWindow(3, 2, 0, to_us(10.5), 12 * SEC)),
+                 t_tr=SEC, source=2, destination=1)
+    trace = simulate(s)
+    assert [(h.node, h.reception_time, h.window) for h in trace.hops] == [
+        (2, 0, None), (0, to_us(11.5), 3), (1, to_us(12.5), 2)]
+    report = detect_global(s.graph, trace)
+    assert report.flagged == ()
+    assert report.fp_weight == report.sp_weight == to_us(7.5)
 
 
 def test_global_single_attacker(demo_graph):

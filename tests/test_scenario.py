@@ -51,12 +51,9 @@ def test_time_window_helpers():
     w = TimeWindow(4, 3, 2, 25 * SEC, 29 * SEC)
     assert w.pair == (2, 3)
     assert w.duration == 4 * SEC
-    assert w.touches(3) and w.touches(2) and not w.touches(4)
     assert w.other(3) == 2 and w.other(2) == 3
     with pytest.raises(ValueError):
         w.other(9)
-    assert w.contains(25 * SEC) and w.contains(29 * SEC)
-    assert not w.contains(29 * SEC + 1)
 
 
 def test_attack_config_helpers():
@@ -205,9 +202,10 @@ def edited_demo(edit) -> dict:
         (edited_demo(lambda d: d["nodes"][0].update(waypoints=[])),
          "node 0: empty waypoint list"),
         (edited_demo(lambda d: d.update(source=99)), "source references unknown node"),
+        (edited_demo(lambda d: d["windows"][0].pop("end")), "window entry missing keys"),
     ],
     ids=["not-object", "attack-not-object", "negative-node-id", "empty-waypoints",
-         "unknown-source"],
+         "unknown-source", "window-missing-keys"],
 )
 def test_from_dict_names_each_rejection(doc, message):
     with pytest.raises(ScenarioError, match=message):

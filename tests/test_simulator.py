@@ -14,9 +14,12 @@ from support import (
     A, B, C, D, E, F, S, make_demo, oracle_benign_next_hop, random_small_twig, wid_of_label,
 )
 from tdasim import (
+    HopRecord,
     Node,
+    PacketTrace,
     Scenario,
     ScenarioError,
+    TimeWindow,
     benign_next_hop,
     build,
     embed_trace,
@@ -175,6 +178,17 @@ def test_window_misses(demo, demo_graph):
     }
 
 
+def test_window_misses_skips_a_pass_through_the_destination():
+    """A trace may pass the destination before it ends there; a holder at the
+    destination plans no hop, so it gets no entry."""
+    s = Scenario(nodes=tuple(Node(n) for n in range(3)),
+                 windows=(TimeWindow(1, 0, 1, 0, 10 * SEC), TimeWindow(2, 1, 2, 0, 20 * SEC)),
+                 t_tr=SEC, source=0, destination=1)
+    trace = PacketTrace(0, 1, (HopRecord(0, 0), HopRecord(1, 2 * SEC, 1), HopRecord(2, 4 * SEC, 2),
+                               HopRecord(1, 6 * SEC, 2)), True, 6 * SEC)
+    assert window_misses(s, s.graph, trace) == {0: False, 2: False}
+
+
 def test_trace_round_trip(demo_graph):
     for delays in ({}, {A: 5, C: 6}, {C: 1000}):
         trace = simulate(make_demo(delays), demo_graph)
@@ -249,8 +263,6 @@ def test_trace_from_dict_rejects_malformed_values(data):
 
 
 def test_trace_validation():
-    from tdasim import HopRecord, PacketTrace
-
     with pytest.raises(ValueError, match="start at the source"):
         PacketTrace(S, F, (HopRecord(A, 0),), False)
     with pytest.raises(ValueError, match="strictly increase"):

@@ -36,8 +36,8 @@ from support import (
 from tdasim import (
     PRESETS,
     AttackConfig,
-    EmbeddingError,
     HopRecord,
+    InconsistentTrace,
     Node,
     PacketTrace,
     Scenario,
@@ -471,14 +471,14 @@ def test_embed_single_hop(demo_graph):
 
 
 def test_embed_requires_two_hops(demo_graph):
-    with pytest.raises(EmbeddingError, match="no transmissions"):
+    with pytest.raises(InconsistentTrace, match="no transmissions"):
         embed_trace(demo_graph, PacketTrace(S, F, (HopRecord(S, 0),), False))
 
 
 def test_embed_rejects_impossible_send(demo_graph):
     g = demo_graph
     trace = PacketTrace(S, A, (HopRecord(S, 0), HopRecord(A, 20 * SEC)), False)
-    with pytest.raises(EmbeddingError, match="no window"):
+    with pytest.raises(InconsistentTrace, match="no window"):
         embed_trace(g, trace)
 
 
@@ -488,7 +488,7 @@ def test_embed_rejects_mismatched_window(demo_graph):
         S, A, (HopRecord(S, 0), HopRecord(A, 6 * SEC, window=2, send_time_of_prev=5 * SEC)),
         False,
     )
-    with pytest.raises(EmbeddingError, match="recorded window"):
+    with pytest.raises(InconsistentTrace, match="recorded window"):
         embed_trace(g, trace)
 
 
