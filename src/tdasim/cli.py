@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 load/invariant/generation failure.
 Every run is a pure function of its inputs and the seed; `all` writes the
-same bytes the individual subcommands would produce with intermediate files.
+same bytes the individual subcommands would produce.
 """
 
 from __future__ import annotations
@@ -56,18 +56,26 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: _Parser, *, scenario: bool = False, preset: bool = False,
-               mode: bool = False, fmt: Sequence[str] = ()) -> None:
+               required: bool = True, mode: bool = False, fmt: Sequence[str] = (),
+               out_dir: bool = False) -> None:
+        # a scenario comes from one source; with both on offer, from one or the other
+        both = scenario and preset
+        source = p.add_mutually_exclusive_group(required=required) if both else p
+        need = {} if both else {"required": required}
         if scenario:
-            p.add_argument("--scenario", metavar="PATH", help="scenario JSON file")
+            source.add_argument("--scenario", metavar="PATH", help="scenario JSON file", **need)
         if preset:
-            p.add_argument("--preset", metavar="NAME",
-                           help="generation preset (table2-row1 .. table2-row5)")
+            source.add_argument("--preset", metavar="NAME",
+                                help="generation preset (table2-row1 .. table2-row5)", **need)
             p.add_argument("--seed", type=int, default=0, help="generation seed")
         if mode:
             p.add_argument("--mode", choices=("global", "local", "both"), default="both")
         if fmt:
             p.add_argument("--format", choices=tuple(fmt), default="json")
-        p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
+        if out_dir:
+            p.add_argument("--out", metavar="DIRECTORY", required=True, help="output directory")
+        else:
+            p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
 
     common(sub.add_parser("generate", help="produce a random scenario file"),
            preset=True)
@@ -84,9 +92,9 @@ def _build_parser() -> _Parser:
                            help="comma-separated hop counts, e.g. 4,5,7,10,15")
     p_metrics.add_argument("--runs", type=_positive_int, default=1, metavar="K",
                            help="evaluate K consecutive seeds of --preset")
-    common(p_metrics, scenario=True, preset=True, fmt=("json", "csv"))
+    common(p_metrics, scenario=True, preset=True, required=False, fmt=("json", "csv"))
     common(sub.add_parser("all", help="run the whole pipeline into a directory"),
-           scenario=True, preset=True, mode=True)
+           scenario=True, preset=True, mode=True, out_dir=True)
     return parser
 
 
@@ -100,21 +108,11 @@ def _emit(text: str | Iterable[str], out: str | Path | None) -> None:
         fh.writelines(chunks)
 
 
-def _obtain_scenario(args: argparse.Namespace, parser: _Parser, stage: str) -> Scenario:
-    if args.scenario and args.preset:
-        parser.error(f"{stage}: give either --scenario or --preset, not both")
-    if args.scenario:
+def _obtain_scenario(args: argparse.Namespace) -> Scenario:
+    """The scenario from --scenario, else from --preset and --seed."""
+    if args.scenario is not None:
         return load_scenario(args.scenario)
-    if args.preset:
-        return generate(preset_params(args.preset, args.seed))
-    parser.error(f"{stage}: --scenario or --preset is required")
-    raise AssertionError("unreachable")
-
-
-def _require_scenario(args: argparse.Namespace, parser: _Parser, stage: str) -> Scenario:
-    if not args.scenario:
-        parser.error(f"{stage}: --scenario is required")
-    return load_scenario(args.scenario)
+    return generate(preset_params(args.preset, args.seed))
 
 
 def _judge(s: Scenario, g: Twig, trace: PacketTrace,
@@ -140,26 +138,24 @@ def _detect_payload(s: Scenario, greport: DetectionReport | None, lscan: LocalSc
 
 
 def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> None:
-    if not args.preset:
-        parser.error("generate: --preset is required")
     s = generate(preset_params(args.preset, args.seed))
     _emit(dumps(scenario_to_dict(s)), args.out)
 
 
 def _cmd_graph(args: argparse.Namespace, parser: _Parser) -> None:
-    s = _require_scenario(args, parser, "graph")
+    s = load_scenario(args.scenario)
     g = s.graph
     _emit(_dot_lines(g, s.label) if args.format == "dot" else _graph_json(g), args.out)
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: _Parser) -> None:
-    s = _require_scenario(args, parser, "simulate")
+    s = load_scenario(args.scenario)
     trace = simulate(s)
     _emit(dumps(trace_to_dict(trace)), args.out)
 
 
 def _cmd_detect(args: argparse.Namespace, parser: _Parser) -> None:
-    s = _require_scenario(args, parser, "detect")
+    s = load_scenario(args.scenario)
     g = s.graph
     greport, lscan = _judge(s, g, simulate(s, g), args.mode)
     _emit(dumps(_detect_payload(s, greport, lscan, args.mode)), args.out)
@@ -195,14 +191,14 @@ def _cmd_metrics(args: argparse.Namespace, parser: _Parser) -> None:
         ]
         _emit(dumps({"runs": runs}), args.out)
         return
-    s = _obtain_scenario(args, parser, "metrics")
+    if args.scenario is None and args.preset is None:
+        parser.error("metrics: --scenario or --preset is required")
+    s = _obtain_scenario(args)
     _emit(dumps(evaluate_scenario(s, timing_repeats=0).to_dict()), args.out)
 
 
 def _cmd_all(args: argparse.Namespace, parser: _Parser) -> None:
-    if not args.out:
-        parser.error("all: --out DIRECTORY is required")
-    s = _obtain_scenario(args, parser, "all")
+    s = _obtain_scenario(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _emit(dumps(scenario_to_dict(s)), outdir / "scenario.json")

@@ -5,7 +5,8 @@ enumerates every simple path over the oracle's own arcs by depth-first search
 and ranks them with the documented ordering, the next-hop oracle runs it once
 per usable window of the holder, the edge oracle wires every edge of the
 same-node closure explicitly, so the edges the graph dumps and the arcs it
-derives on demand can be checked against it, and the split oracle cuts one
+derives on demand can be checked against it, the graph.json oracle adds a
+row per vertex to those edges, and the split oracle cuts one
 pair at a time, rescanning from scratch.  The window-derivation oracle is
 the state-machine sampling loop the grouped runs replaced.
 """
@@ -231,9 +232,20 @@ def staircase(k: int) -> tuple[TimeWindow, ...]:
     )
 
 
+def oracle_graph_dict(g: Twig) -> dict:
+    """graph.json's content built by hand from the split pieces: a row per
+    vertex in (node, wid) order, then the edges of ``oracle_edges``."""
+    piece = {w.wid: w for w in g.split_windows}
+    rows = [{"node": node, "wid": wid, "label": g.window_label(wid),
+             "start": to_seconds(piece[wid].start), "end": to_seconds(piece[wid].end)}
+            for node, wid in sorted((n, w.wid) for w in g.split_windows for n in (w.a, w.b))]
+    return {"t_tr": to_seconds(g.t_tr), "vertices": rows,
+            "edges": oracle_edges(g.split_windows, g.t_tr)}
+
+
 def oracle_edges(pieces, t_tr: int) -> list[dict]:
-    """Every edge of the graph over these split pieces, wired explicitly, as the
-    dicts ``graph_to_dict`` writes, sorted by (u, v)."""
+    """Every edge of the graph over these split pieces, wired explicitly, as
+    graph.json's edge objects, sorted by (u, v)."""
     edges: list[dict] = []
 
     def edge(u: tuple[int, int], v: tuple[int, int], kind: str, weight: int,

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from support import A, C, make_demo
+from support import A, C, make_demo, oracle_graph_dict
 import tdasim
-from tdasim import build, graph_to_dict, load_scenario, save_scenario, scenario_to_dict, to_dot
+from tdasim import build, load_scenario, save_scenario, scenario_to_dict, to_dot
 from tdasim.cli import main
 
 
@@ -150,10 +150,10 @@ def test_all_composes_exactly_like_the_stages(attacked_file, tmp_path, capsys):
 
 def test_graph_files_are_the_dict_dump_byte_for_byte(attacked_file, tmp_path, capsys):
     """graph.json, streamed to stdout, to --out and by `all`, is json.dumps of
-    graph_to_dict; the streamed DOT is to_dot's text."""
+    the hand-built graph.json oracle; the streamed DOT is to_dot's text."""
     s = load_scenario(attacked_file)
     g = build(s.windows, s.t_tr)
-    oracle = (json.dumps(graph_to_dict(g), indent=2) + "\n").encode("utf-8")
+    oracle = (json.dumps(oracle_graph_dict(g), indent=2) + "\n").encode("utf-8")
     graph = ["graph", "--scenario", attacked_file]
     assert run_ok(capsys, graph).encode("utf-8") == oracle
     run_ok(capsys, [*graph, "--out", str(tmp_path / "graph.json")])
@@ -237,6 +237,15 @@ def test_scenario_and_preset_conflict_exits_1(demo_file, capsys):
     code = main(["metrics", "--scenario", demo_file, "--preset", "table2-row1"])
     assert code == 1
     capsys.readouterr()
+
+
+def test_all_takes_exactly_one_scenario_source(demo_file, tmp_path, capsys):
+    """`all` needs --scenario or --preset, not both, and writes nothing otherwise."""
+    out = tmp_path / "bundle"
+    for sources in ([], ["--scenario", demo_file, "--preset", "table2-row1"]):
+        assert main(["all", *sources, "--out", str(out)]) == 1
+        assert "--scenario" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_metrics_csv_without_eor_exits_1(demo_file, capsys):

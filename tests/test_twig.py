@@ -26,6 +26,7 @@ from support import (
     make_demo,
     oracle_arcs,
     oracle_edges,
+    oracle_graph_dict,
     oracle_shortest,
     oracle_split,
     random_small_twig,
@@ -492,6 +493,24 @@ def test_embed_rejects_mismatched_window(demo_graph):
         embed_trace(g, trace)
 
 
+def test_embed_rejects_a_contradictory_send_instant(demo_graph):
+    """A recorded sent_at must be the reception time minus t_tr; an absent
+    one is not checked."""
+    g = demo_graph
+
+    def trace(sent_at):
+        hops = (HopRecord(S, 0), HopRecord(A, 6 * SEC, window=1, send_time_of_prev=sent_at))
+        return PacketTrace(S, A, hops, True, 6 * SEC)
+
+    for sent_at in (None, 5 * SEC):
+        assert embed_trace(g, trace(sent_at)).total_weight == SEC
+    for sent_at in (4 * SEC, 5 * SEC + 1, 6 * SEC):
+        with pytest.raises(InconsistentTrace, match="hop 1: recorded send instant"):
+            embed_trace(g, trace(sent_at))
+        with pytest.raises(InconsistentTrace, match="recorded send instant"):
+            detect_global(g, trace(sent_at))
+
+
 def test_embed_runs_down_a_nesting_chain():
     """The relay receives in its innermost window and sends in its outermost:
     its run walks out through the nested windows in descending start order,
@@ -718,14 +737,15 @@ def test_to_dot_escapes_quotes_and_backslashes(demo_graph):
 
 def test_demo_dump_bytes_are_pinned():
     """The demo's graph JSON and DOT, byte for byte, as the edge-object layer
-    wrote them before the dumps read edges straight from the vertex index;
-    the streamed texts the command line writes are the same bytes."""
+    wrote them before the dumps read edges straight from the vertex index:
+    the hand-built graph.json oracle and the streamed texts the command line
+    writes are the same bytes."""
     s = make_demo()
     g = build(s.windows, s.t_tr)
     graph_json = ("df54acc1647cc1fa76590955ddd631ccd3326aa2ba3269ebec1b7196db74c44e", 9334)
     dot = ("6ecec2437a27c0b63ed4c7b0566d15c988dc52cd624bf40ccb7dd47e647aed20", 1648)
     for text, pinned in (
-        (dumps(graph_to_dict(g)), graph_json),
+        (dumps(oracle_graph_dict(g)), graph_json),
         ("".join(_graph_json(g)), graph_json),
         (to_dot(g, s.label), dot),
         ("".join(_dot_lines(g, s.label)), dot),
@@ -764,15 +784,18 @@ def test_window_labels_are_made_only_when_read(monkeypatch):
                           st.integers(1, 10**9)), max_size=6),
        st.integers(1, 10**7))
 def test_graph_json_is_the_dict_dump(seed, spans, t_tr):
-    """The streamed graph.json equals json.dumps of graph_to_dict byte for byte:
-    on random graphs, and on windows at arbitrary microseconds, where seconds
-    are not integers and, from 1e22 us on, repr writes them with an exponent."""
+    """The streamed graph.json equals json.dumps of the hand-built oracle byte
+    for byte, and graph_to_dict parses it back to the oracle: on random
+    graphs, and on windows at arbitrary microseconds, where seconds are not
+    integers and, from 1e22 us on, repr writes them with an exponent."""
     windows = tuple(
         TimeWindow(wid, a, a + d, lo, lo + n)
         for wid, (a, d, lo, n) in enumerate(spans, start=1)
     )
     for g in (random_small_twig(random.Random(seed)), build(windows, t_tr), build((), t_tr)):
-        assert "".join(_graph_json(g)) == json.dumps(graph_to_dict(g), indent=2) + "\n"
+        want = oracle_graph_dict(g)
+        assert "".join(_graph_json(g)) == json.dumps(want, indent=2) + "\n"
+        assert graph_to_dict(g) == want
 
 
 def test_graph_json_joins_its_chunks():
@@ -780,7 +803,7 @@ def test_graph_json_joins_its_chunks():
     g = build(staircase(12), SEC)
     chunks = list(_graph_json(g))
     assert len(chunks) > 10
-    assert "".join(chunks) == json.dumps(graph_to_dict(g), indent=2) + "\n"
+    assert "".join(chunks) == json.dumps(oracle_graph_dict(g), indent=2) + "\n"
 
 
 def test_graph_json_is_written_in_bounded_memory(tmp_path):
