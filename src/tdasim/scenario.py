@@ -377,10 +377,18 @@ def _key_int(key: str) -> int:
 
 
 def _finite(value) -> float:
+    """A finite number written as a JSON number: no boolean or string stands in for one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError("not finite")
     return x
+
+
+def _json_us(value) -> int:
+    """A time in seconds written as a JSON number, in microseconds."""
+    return to_us(_finite(value))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -409,7 +417,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"{what} name: invalid value {_brief(nd['name'])}")
         wps = None
         if "waypoints" in nd:
-            wps = _convert(lambda points: tuple(Waypoint(*map(_finite, (x, y, z)), to_us(t))
+            wps = _convert(lambda points: tuple(Waypoint(*map(_finite, (x, y, z)), _json_us(t))
                                                 for x, y, z, t in points),
                            nd["waypoints"], f"{what} waypoints")
         nodes.append(Node(
@@ -432,20 +440,20 @@ def scenario_from_dict(data: dict) -> Scenario:
             wid=_convert(_json_int, wd["wid"], "window id"),
             a=_convert(_json_int, wd["a"], f"{what} a"),
             b=_convert(_json_int, wd["b"], f"{what} b"),
-            start=_convert(to_us, wd["start"], f"{what} start"),
-            end=_convert(to_us, wd["end"], f"{what} end"),
+            start=_convert(_json_us, wd["start"], f"{what} start"),
+            end=_convert(_json_us, wd["end"], f"{what} end"),
         ))
     delays = {}
     for key, delay in data.get("attack", {}).items():
         node = _convert(_key_int, key, "attack node id")
-        delays[node] = _convert(to_us, delay, f"attack delay of {_brief(node)}")
+        delays[node] = _convert(_json_us, delay, f"attack delay of {_brief(node)}")
     s = Scenario(
         nodes=tuple(nodes),
         windows=tuple(windows),
-        t_tr=_convert(to_us, data["t_tr"], "t_tr"),
+        t_tr=_convert(_json_us, data["t_tr"], "t_tr"),
         source=_convert(_json_int, data["source"], "source"),
         destination=_convert(_json_int, data["destination"], "destination"),
-        creation_time=_convert(to_us, data.get("creation_time", 0), "creation_time"),
+        creation_time=_convert(_json_us, data.get("creation_time", 0), "creation_time"),
         attack=AttackConfig(delays),
     )
     validate_scenario(s)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .scenario import (NodeId, Scenario, ScenarioError, _brief, _convert, _json_int, _read_json,
-                       to_seconds, to_us)
+from .scenario import (NodeId, Scenario, ScenarioError, _brief, _convert, _json_int, _json_us,
+                       _read_json, to_seconds)
 from .twig import Twig, _search, shortest_path
 
 
@@ -200,9 +200,9 @@ def trace_from_dict(data: dict) -> PacketTrace:
                 raise ScenarioError(f"unknown hop keys: {_brief(sorted(bad))}")
             hops.append(HopRecord(
                 node=_convert(_json_int, hd["node"], f"hop {i} node"),
-                reception_time=_convert(to_us, hd["t"], f"hop {i} t"),
+                reception_time=_convert(_json_us, hd["t"], f"hop {i} t"),
                 window=_convert(_optional(_json_int), hd.get("window"), f"hop {i} window"),
-                send_time_of_prev=_convert(_optional(to_us), hd.get("sent_at"),
+                send_time_of_prev=_convert(_optional(_json_us), hd.get("sent_at"),
                                            f"hop {i} sent_at"),
             ))
         return PacketTrace(
@@ -210,7 +210,7 @@ def trace_from_dict(data: dict) -> PacketTrace:
             destination=_convert(_json_int, data["destination"], "trace destination"),
             hops=tuple(hops),
             delivered=data["delivered"],
-            physical_arrival=_convert(_optional(to_us), data.get("physical_arrival"),
+            physical_arrival=_convert(_optional(_json_us), data.get("physical_arrival"),
                                       "trace physical_arrival"),
         )
     except KeyError as exc:

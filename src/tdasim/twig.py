@@ -49,7 +49,7 @@ class TwigPath:
 
     vertices: tuple[TwigVertex, ...]
     total_weight: int
-    weights: tuple[int, ...] = ()
+    weights: tuple[int, ...]
 
     @property
     def hops(self) -> int:
@@ -285,11 +285,16 @@ def shortest_path(
     found = _search(g, [(0, start)], to_node, now)
     if found is None:
         return None
-    weight, _, verts = found
+    return _path(g, found[2])
+
+
+def _path(g: Twig, verts: tuple[TwigVertex, ...]) -> TwigPath:
+    """The path along verts, each arc weighed from its two windows as Twig.arc_weight does:
+    t_tr where the node changes, else the gap between the two window starts."""
     piece = g._piece
-    arc_weights = tuple(g.t_tr if nu != nv else abs(piece[wv].start - piece[wu].start)
-                        for (nu, wu), (nv, wv) in zip(verts, verts[1:]))
-    return TwigPath(verts, weight, arc_weights)
+    weights = tuple(g.t_tr if nu != nv else abs(piece[wv].start - piece[wu].start)
+                    for (nu, wu), (nv, wv) in zip(verts, verts[1:]))
+    return TwigPath(verts, sum(weights), weights)
 
 
 _NO_LABEL = (float("inf"), 0, ())
@@ -372,7 +377,8 @@ def embed_trace(g: Twig, trace: PacketTrace) -> TwigPath:
     hops = trace.hops
     if len(hops) < 2:
         raise InconsistentTrace("trace has no transmissions to embed")
-    crossing: list[TimeWindow] = []
+    verts: list[TwigVertex] = []
+    recv: TimeWindow | None = None  # the piece the relay, node a, received over
     for i in range(1, len(hops)):
         a, b = hops[i - 1].node, hops[i].node
         send = hops[i].reception_time - g.t_tr
@@ -398,40 +404,22 @@ def embed_trace(g: Twig, trace: PacketTrace) -> TwigPath:
                 f"hop {i}: no encounter between nodes {a} and {b} lasts from send instant "
                 f"{to_seconds(send)} to arrival {to_seconds(hops[i].reception_time)}"
             )
-        crossing.append(w)
-    verts = [TwigVertex(hops[0].node, crossing[0].wid)]
-    weights: list[int] = []
-    for i in range(1, len(hops)):
-        node = hops[i].node
-        verts.append(TwigVertex(node, crossing[i - 1].wid))
-        weights.append(g.t_tr)
-        if i == len(hops) - 1:
-            break
-        for v2, w2 in _same_node_run(g, node, crossing[i - 1], crossing[i],
-                                     hops[i + 1].reception_time - g.t_tr):
-            verts.append(v2)
-            weights.append(w2)
-    return TwigPath(tuple(verts), sum(weights), tuple(weights))
-
-
-def _same_node_run(
-    g: Twig, node: NodeId, recv: TimeWindow, send: TimeWindow, send_instant: int,
-) -> list[tuple[TwigVertex, int]]:
-    """The node's vertices after recv up to send, each with the weight of the arc into it.
-
-    The run is monotone in (start, end, wid), and each step u -> v is an arc
-    as v ends after u starts: v holds send_instant, and u starts no later than
-    v (ascending; windows are never empty) or than recv (descending), which
-    holds the earlier previous send instant.
-    """
-    if recv.wid == send.wid:
-        return []
-    kr, ks = _wkey(recv), _wkey(send)
-    mids = sorted((w for w in g.windows_of_node(node)
-                   if w.start <= send_instant <= w.end and min(kr, ks) < _wkey(w) < max(kr, ks)),
-                  key=_wkey, reverse=kr > ks)
-    run = [recv, *mids, send]
-    return [(TwigVertex(node, v.wid), abs(v.start - u.start)) for u, v in zip(run, run[1:])]
+        if recv is not None and recv.wid != w.wid:
+            # the receive vertex, then the relay's pieces between recv and w
+            # that hold send: the run is monotone in (start, end, wid), and each
+            # step u -> v is an arc as v ends after u starts: v holds send, and
+            # u starts no later than v (ascending; windows are never empty) or
+            # than recv (descending), which holds the earlier previous send instant
+            kr, ks = _wkey(recv), _wkey(w)
+            verts.append(TwigVertex(a, recv.wid))
+            verts += [TwigVertex(a, p.wid) for p in sorted(
+                (p for p in g.windows_of_node(a)
+                 if p.start <= send <= p.end and min(kr, ks) < _wkey(p) < max(kr, ks)),
+                key=_wkey, reverse=kr > ks)]
+        verts.append(TwigVertex(a, w.wid))  # also the receive vertex when recv is w
+        recv = w
+    verts.append(TwigVertex(b, w.wid))
+    return _path(g, tuple(verts))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ same-node closure explicitly, so the edges the graph dumps and the arcs it
 derives on demand can be checked against it, the graph.json oracle adds a
 row per vertex to those edges, and the split oracle cuts one
 pair at a time, rescanning from scratch.  The window-derivation oracle is
-the state-machine sampling loop the grouped runs replaced.
+the state-machine sampling loop the grouped runs replaced, and the embedding
+oracle is the two-pass trace embedding that embed_trace's one walk replaced.
 """
 
 from __future__ import annotations
@@ -26,13 +27,17 @@ from tdasim import (
     NodeKind,
     Scenario,
     TimeWindow,
+    InconsistentTrace,
+    PacketTrace,
     Twig,
+    TwigPath,
     TwigVertex,
     build,
     to_seconds,
     to_us,
 )
 from tdasim.scenario import _pair_range, _span_overlap
+from tdasim.twig import _wkey
 
 NAMES = "SABCDEF"
 S, A, B, C, D, E, F = range(7)
@@ -202,6 +207,85 @@ def oracle_benign_next_hop(s: Scenario, g: Twig, holder: int, now: int):
         return None
     wid = best[1]
     return g.window(wid).other(holder), wid
+
+
+# embed_trace as written in two passes: every hop's crossing piece first, then
+# each relay's same-node run, with a weight list kept beside the vertex list
+def oracle_embed_trace(g: Twig, trace: PacketTrace) -> TwigPath:
+    """Map a physical hop sequence onto graph vertices.
+
+    Each hop crosses the latest split window of its node pair that contains
+    the send instant (reception time minus t_tr).  Between a relay's receive
+    window and its send window, the relay's other windows that also contain
+    the upcoming send instant are inserted in span order, which reproduces the
+    same-node vertex runs of hand-worked followed paths.  A hop is rejected
+    when no encounter of its pair lasts from send to arrival; that need not be
+    the crossed piece's, as a nested piece can hold a longer one's send instant.
+    A hop's recorded window and send instant, when given, must be those two.
+    """
+    hops = trace.hops
+    if len(hops) < 2:
+        raise InconsistentTrace("trace has no transmissions to embed")
+    crossing: list[TimeWindow] = []
+    for i in range(1, len(hops)):
+        a, b = hops[i - 1].node, hops[i].node
+        send = hops[i].reception_time - g.t_tr
+        w = g.send_window(a, b, send)
+        if w is None:
+            raise InconsistentTrace(
+                f"hop {i}: no window between nodes {a} and {b} contains send instant "
+                f"{to_seconds(send)}"
+            )
+        if hops[i].window is not None and hops[i].window != w.wid:
+            raise InconsistentTrace(
+                f"hop {i}: recorded window {hops[i].window} does not contain "
+                f"send instant {to_seconds(send)} (expected {w.wid})"
+            )
+        if hops[i].send_time_of_prev not in (None, send):
+            raise InconsistentTrace(
+                f"hop {i}: recorded send instant {to_seconds(hops[i].send_time_of_prev)} is not "
+                f"arrival {to_seconds(hops[i].reception_time)} minus t_tr"
+            )
+        if not any(p.start <= send <= p.end and hops[i].reception_time <= g.original_of(p.wid).end
+                   for p in g.windows_of_pair(a, b)):
+            raise InconsistentTrace(
+                f"hop {i}: no encounter between nodes {a} and {b} lasts from send instant "
+                f"{to_seconds(send)} to arrival {to_seconds(hops[i].reception_time)}"
+            )
+        crossing.append(w)
+    verts = [TwigVertex(hops[0].node, crossing[0].wid)]
+    weights: list[int] = []
+    for i in range(1, len(hops)):
+        node = hops[i].node
+        verts.append(TwigVertex(node, crossing[i - 1].wid))
+        weights.append(g.t_tr)
+        if i == len(hops) - 1:
+            break
+        for v2, w2 in _oracle_same_node_run(g, node, crossing[i - 1], crossing[i],
+                                            hops[i + 1].reception_time - g.t_tr):
+            verts.append(v2)
+            weights.append(w2)
+    return TwigPath(tuple(verts), sum(weights), tuple(weights))
+
+
+def _oracle_same_node_run(
+    g: Twig, node: NodeId, recv: TimeWindow, send: TimeWindow, send_instant: int,
+) -> list[tuple[TwigVertex, int]]:
+    """The node's vertices after recv up to send, each with the weight of the arc into it.
+
+    The run is monotone in (start, end, wid), and each step u -> v is an arc
+    as v ends after u starts: v holds send_instant, and u starts no later than
+    v (ascending; windows are never empty) or than recv (descending), which
+    holds the earlier previous send instant.
+    """
+    if recv.wid == send.wid:
+        return []
+    kr, ks = _wkey(recv), _wkey(send)
+    mids = sorted((w for w in g.windows_of_node(node)
+                   if w.start <= send_instant <= w.end and min(kr, ks) < _wkey(w) < max(kr, ks)),
+                  key=_wkey, reverse=kr > ks)
+    run = [recv, *mids, send]
+    return [(TwigVertex(node, v.wid), abs(v.start - u.start)) for u, v in zip(run, run[1:])]
 
 
 def random_small_twig(rng: random.Random, max_vertices: int = 12) -> Twig:

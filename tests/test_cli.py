@@ -299,6 +299,11 @@ def _demo_doc(edit) -> str:
         _demo_doc(lambda d: d["nodes"][0].update(waypoints=[])),
         _demo_doc(lambda d: d.update(source=99)),
         _demo_doc(lambda d: d["windows"][0].pop("end")),
+        _demo_doc(lambda d: d["windows"][0].update(start="0")),
+        _demo_doc(lambda d: d["windows"][0].update(start=0, end=True)),
+        _demo_doc(lambda d: d.update(t_tr="0.5")),
+        _demo_doc(lambda d: d.update(attack={"0": False})),
+        _demo_doc(lambda d: d["nodes"][0].update(range="10")),
     ],
     ids=["missing-keys", "nan-time", "inf-time", "nodes-not-objects", "windows-not-list",
          "attack-key-not-int", "t_tr-not-number", "name-list", "name-number", "nan-range",
@@ -306,7 +311,8 @@ def _demo_doc(edit) -> str:
          "b-bool", "node-id-float", "source-bool", "destination-float", "attack-key-padded",
          "attack-key-signed", "utf16-bom", "deep-nesting", "long-integer", "not-object",
          "attack-not-object", "negative-node-id", "empty-waypoints", "unknown-source",
-         "window-missing-keys"],
+         "window-missing-keys", "start-string", "end-bool", "t_tr-string", "attack-delay-bool",
+         "range-string"],
 )
 def test_invalid_scenario_exits_2(text, tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -203,9 +203,28 @@ def edited_demo(edit) -> dict:
          "node 0: empty waypoint list"),
         (edited_demo(lambda d: d.update(source=99)), "source references unknown node"),
         (edited_demo(lambda d: d["windows"][0].pop("end")), "window entry missing keys"),
+        (edited_demo(lambda d: d["windows"][0].update(start="0")),
+         r"window 1 start: invalid value '0'"),
+        (edited_demo(lambda d: d["windows"][0].update(start=0, end=True)),
+         "window 1 end: invalid value True"),
+        (edited_demo(lambda d: d.update(t_tr="0.5")), r"t_tr: invalid value '0.5'"),
+        (edited_demo(lambda d: d.update(creation_time=False)),
+         "creation_time: invalid value False"),
+        (edited_demo(lambda d: d.update(attack={"0": False})),
+         "attack delay of 0: invalid value False"),
+        (edited_demo(lambda d: d["nodes"][0].update(range="10")),
+         r"node 0 range: invalid value '10'"),
+        (edited_demo(lambda d: d["nodes"][0].update(speed=True)),
+         "node 0 speed: invalid value True"),
+        (edited_demo(lambda d: d["nodes"][0].update(waypoints=[[0, 0, 0, "0"]])),
+         "node 0 waypoints: invalid value"),
+        (edited_demo(lambda d: d["nodes"][0].update(waypoints=[[True, 0, 0, 0]])),
+         "node 0 waypoints: invalid value"),
     ],
     ids=["not-object", "attack-not-object", "negative-node-id", "empty-waypoints",
-         "unknown-source", "window-missing-keys"],
+         "unknown-source", "window-missing-keys", "start-string", "end-bool",
+         "t_tr-string", "creation-time-bool", "attack-delay-bool", "range-string",
+         "speed-bool", "waypoint-time-string", "waypoint-coordinate-bool"],
 )
 def test_from_dict_names_each_rejection(doc, message):
     with pytest.raises(ScenarioError, match=message):

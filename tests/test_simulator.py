@@ -251,10 +251,15 @@ def _trace_doc(edit):
         _trace_doc(lambda d: d.update(destination=6.0)),
         _trace_doc(lambda d: d.update(delivered=list(range(3000)))),
         _trace_doc(lambda d: d["hops"][0].update({f"extra{i}": i for i in range(3000)})),
+        _trace_doc(lambda d: d["hops"][1].update(t=True)),
+        _trace_doc(lambda d: d["hops"][1].update(t="6")),
+        _trace_doc(lambda d: d["hops"][1].update(sent_at=False)),
+        _trace_doc(lambda d: d.update(physical_arrival=str(d["physical_arrival"]))),
     ],
     ids=["hops-not-list", "hop-not-object", "node-not-int", "inf-time", "window-not-int",
          "delivered-not-bool", "not-object", "window-float", "node-string", "node-bool",
-         "source-bool", "destination-float", "delivered-long-list", "many-unknown-keys"],
+         "source-bool", "destination-float", "delivered-long-list", "many-unknown-keys",
+         "time-bool", "time-string", "sent-at-bool", "physical-arrival-string"],
 )
 def test_trace_from_dict_rejects_malformed_values(data):
     with pytest.raises(ScenarioError) as err:

@@ -26,6 +26,7 @@ from support import (
     make_demo,
     oracle_arcs,
     oracle_edges,
+    oracle_embed_trace,
     oracle_graph_dict,
     oracle_shortest,
     oracle_split,
@@ -535,11 +536,12 @@ def generated_graph(preset: str, seed: int):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["small", "grid", "generated"]))
 def test_embedded_steps_are_graph_arcs(seed, source):
-    """Replays with random relay delays, between random node pairs: every
-    step of the embedded path is an arc of the graph, of the step's weight,
-    and each relay's same-node steps run monotone in start, so they add up
-    to the gap between its receive and send windows' starts.  On the 5 s
-    grid, touching windows and equal spans are common."""
+    """Replays with random relay delays, between random node pairs: the
+    embedding equals the two-pass one it replaced, every step of the
+    embedded path is an arc of the graph, of the step's weight, and each
+    relay's same-node steps run monotone in start, so they add up to the
+    gap between its receive and send windows' starts.  On the 5 s grid,
+    touching windows and equal spans are common."""
     rng = random.Random(seed)
     if source == "small":
         g = random_small_twig(rng, max_vertices=30)
@@ -557,6 +559,7 @@ def test_embedded_steps_are_graph_arcs(seed, source):
         if not trace.delivered:
             continue
         fp = embed_trace(g, trace)
+        assert fp == oracle_embed_trace(g, trace)
         steps = list(zip(fp.vertices, fp.vertices[1:]))
         assert list(fp.weights) == [g.arc_weight(u, v) for u, v in steps]
         crossings = [i for i, (u, v) in enumerate(steps) if u.node != v.node]
