@@ -103,6 +103,10 @@ class TimeWindow:
     def duration(self) -> int:
         return self.end - self.start
 
+    def carries(self, send: int, t_tr: int) -> bool:
+        """Does a transmission of t_tr that starts at send fit inside this window?"""
+        return self.start <= send and send + t_tr <= self.end
+
     @property
     def pair(self) -> tuple[NodeId, NodeId]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
@@ -227,7 +231,7 @@ def earliest_arrival(s: Scenario) -> dict[NodeId, int]:
             if u == s.source and w.start < s.creation_time:
                 continue  # the source only transmits in windows opening at or after creation
             send = max(t, w.start)
-            if send + s.t_tr > w.end:
+            if not w.carries(send, s.t_tr):
                 continue
             v = w.other(u)
             arrival = send + s.t_tr

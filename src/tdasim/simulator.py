@@ -71,7 +71,7 @@ def simulate(s: Scenario, g: Twig | None = None) -> PacketTrace:
         neighbor, wid, planned = plan
         eps = s.attack.delay_us(holder)
         # the plan crosses only windows usable at now, so a zero delay always fits
-        if planned + eps + s.t_tr <= g.original_of(wid).end:
+        if g.original_of(wid).carries(planned + eps, s.t_tr):
             send, target = planned + eps, neighbor
         else:
             hit = _retarget(g, holder, planned, eps)
@@ -109,7 +109,7 @@ def _retarget(g: Twig, holder: NodeId, planned: int, eps: int) -> tuple[int, Nod
     encounters = sorted({g.original_of(w.wid) for w in g.windows_of_node(holder)},
                         key=lambda w: (w.start, w.wid))
     for w in encounters:
-        if w.start >= planned and w.start + eps + g.t_tr <= w.end:
+        if w.start >= planned and w.carries(w.start + eps, g.t_tr):
             return w.start + eps, w.other(holder)
     return None
 
@@ -146,10 +146,8 @@ def window_misses(s: Scenario, g: Twig, trace: PacketTrace) -> dict[NodeId, bool
             continue
         neighbor, wid, _ = plan
         actual_send = trace.hops[i + 1].reception_time - s.t_tr
-        out[h.node] = (
-            trace.hops[i + 1].node != neighbor
-            or actual_send + s.t_tr > g.original_of(wid).end
-        )
+        out[h.node] = (trace.hops[i + 1].node != neighbor
+                       or not g.original_of(wid).carries(actual_send, s.t_tr))
     return out
 
 

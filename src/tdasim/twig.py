@@ -166,9 +166,7 @@ class Twig:
         the end of the original encounter, not of the artificial piece.
         """
         w = self._piece[wid]
-        if w.end < now:
-            return False
-        return max(w.start, now) + self.t_tr <= self.original_of(wid).end
+        return w.end >= now and self.original_of(wid).carries(max(w.start, now), self.t_tr)
 
     def send_window(self, a: NodeId, b: NodeId, send: int) -> TimeWindow | None:
         """Latest split window of the pair whose span contains the send instant."""
@@ -365,14 +363,15 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
 def embed_trace(g: Twig, trace: PacketTrace) -> TwigPath:
     """Map a physical hop sequence onto graph vertices.
 
-    Each hop crosses the latest split window of its node pair that contains
-    the send instant (reception time minus t_tr).  Between a relay's receive
-    window and its send window, the relay's other windows that also contain
-    the upcoming send instant are inserted in span order, which reproduces the
-    same-node vertex runs of hand-worked followed paths.  A hop is rejected
-    when no encounter of its pair lasts from send to arrival; that need not be
-    the crossed piece's, as a nested piece can hold a longer one's send instant.
-    A hop's recorded window and send instant, when given, must be those two.
+    A hop is rejected when no encounter of its node pair carries it from the
+    send instant (reception time minus t_tr) to the arrival.  It crosses the
+    latest split window of the pair that contains the send instant; that need
+    not be a piece of the carrying encounter, as a nested piece can hold a
+    longer one's send instant.  Between a relay's receive window and its send
+    window, the relay's other windows that also contain the upcoming send
+    instant are inserted in span order, which reproduces the same-node vertex
+    runs of hand-worked followed paths.  A hop's recorded window and send
+    instant, when given, must be those two.
     """
     hops = trace.hops
     if len(hops) < 2:
@@ -382,12 +381,13 @@ def embed_trace(g: Twig, trace: PacketTrace) -> TwigPath:
     for i in range(1, len(hops)):
         a, b = hops[i - 1].node, hops[i].node
         send = hops[i].reception_time - g.t_tr
-        w = g.send_window(a, b, send)
-        if w is None:
+        if not any(g.original_of(p.wid).carries(send, g.t_tr) for p in g.windows_of_pair(a, b)):
             raise InconsistentTrace(
-                f"hop {i}: no window between nodes {a} and {b} contains send instant "
-                f"{to_seconds(send)}"
+                f"hop {i}: no encounter between nodes {a} and {b} lasts from send instant "
+                f"{to_seconds(send)} to arrival {to_seconds(hops[i].reception_time)}"
             )
+        # the encounter holds send, and its pieces tile it, so one of them does
+        w = g.send_window(a, b, send)
         if hops[i].window is not None and hops[i].window != w.wid:
             raise InconsistentTrace(
                 f"hop {i}: recorded window {hops[i].window} does not contain "
@@ -397,12 +397,6 @@ def embed_trace(g: Twig, trace: PacketTrace) -> TwigPath:
             raise InconsistentTrace(
                 f"hop {i}: recorded send instant {to_seconds(hops[i].send_time_of_prev)} is not "
                 f"arrival {to_seconds(hops[i].reception_time)} minus t_tr"
-            )
-        if not any(p.start <= send <= p.end and hops[i].reception_time <= g.original_of(p.wid).end
-                   for p in g.windows_of_pair(a, b)):
-            raise InconsistentTrace(
-                f"hop {i}: no encounter between nodes {a} and {b} lasts from send instant "
-                f"{to_seconds(send)} to arrival {to_seconds(hops[i].reception_time)}"
             )
         if recv is not None and recv.wid != w.wid:
             # the receive vertex, then the relay's pieces between recv and w

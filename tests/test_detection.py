@@ -126,7 +126,7 @@ def test_global_requires_delivery(demo_graph):
 
 def test_global_rejects_unembeddable_trace(demo_graph):
     fake = PacketTrace(S, A, (HopRecord(S, 0), HopRecord(A, 20 * SEC)), True, 20 * SEC)
-    with pytest.raises(InconsistentTrace, match="no window"):
+    with pytest.raises(InconsistentTrace, match="no encounter"):
         detect_global(demo_graph, fake)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import tdasim
 
@@ -138,21 +139,21 @@ def called_name(call: ast.Call) -> str | None:
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
+def scoped_nodes(node: ast.AST, scope: str = "") -> Iterator[tuple[str, ast.AST]]:
+    """Each node below node that is not a definition, with the qualified name
+    of the innermost function or class around it ("" at module level)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from scoped_nodes(child, f"{scope}.{child.name}" if scope else child.name)
+        else:
+            yield scope, child
+            yield from scoped_nodes(child, scope)
+
+
 def build_call_sites(tree: ast.Module) -> set[str]:
     """The qualified name of each function that calls `build(...)` or `x.build(...)`."""
-    sites: set[str] = set()
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if isinstance(child, ast.Call) and called_name(child) == "build":
-                sites.add(scope or "<module>")
-            visit(child, scope)
-
-    visit(tree, "")
-    return sites
+    return {scope or "<module>" for scope, node in scoped_nodes(tree)
+            if isinstance(node, ast.Call) and called_name(node) == "build"}
 
 
 def test_graphs_are_built_only_by_the_scenario_the_generator_and_the_phase_timer():
@@ -184,3 +185,33 @@ def test_scenario_windows_are_read_only_to_build_a_graph():
     assert [f"{path.name}:{line}" for path in paths
             for line in window_reads_outside_build(ast.parse(path.read_text(encoding="utf-8")))
             ] == []
+
+
+def adds_t_tr(node: ast.AST) -> bool:
+    """Is node a sum with `t_tr` or `x.t_tr` among its terms?"""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and any(isinstance(sub, ast.Name) and sub.id == "t_tr"
+                    or isinstance(sub, ast.Attribute) and sub.attr == "t_tr"
+                    for sub in ast.walk(node)))
+
+
+def reads_end(node: ast.AST) -> bool:
+    return any(isinstance(sub, ast.Attribute) and sub.attr == "end" for sub in ast.walk(node))
+
+
+def is_carriage_comparison(node: ast.AST) -> bool:
+    """Is node a comparison of a sum with t_tr against an operand that reads `.end`?"""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(adds_t_tr(x) and reads_end(y) for x in operands for y in operands if y is not x)
+
+
+def test_carriage_rule_is_stated_once():
+    """Whether a transmission of t_tr that starts at send fits inside an
+    encounter is asked of `TimeWindow.carries`; no other comparison adds t_tr
+    on one side and reads a window's end on the other."""
+    sites = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for scope, node in scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+             if is_carriage_comparison(node) and scope != "TimeWindow.carries"]
+    assert sites == []

@@ -176,6 +176,9 @@ def test_window_misses(demo, demo_graph):
     assert window_misses(two, g, attacked) == {
         S: False, A: False, B: False, D: False, C: True, E: False,
     }
+    # S plans to send over window 1 at 5 s; a send at 4 s is before that window opens
+    early = PacketTrace(S, F, (HopRecord(S, 0), HopRecord(A, 5 * SEC, 1)), False)
+    assert window_misses(demo, g, early) == {S: True}
 
 
 def test_window_misses_skips_a_pass_through_the_destination():

@@ -480,7 +480,7 @@ def test_embed_requires_two_hops(demo_graph):
 def test_embed_rejects_impossible_send(demo_graph):
     g = demo_graph
     trace = PacketTrace(S, A, (HopRecord(S, 0), HopRecord(A, 20 * SEC)), False)
-    with pytest.raises(InconsistentTrace, match="no window"):
+    with pytest.raises(InconsistentTrace, match="no encounter"):
         embed_trace(g, trace)
 
 
@@ -533,20 +533,32 @@ def generated_graph(preset: str, seed: int):
     return build(s.windows, s.t_tr)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from(["small", "grid", "generated"]))
+def nested_windows(rng: random.Random) -> tuple[TimeWindow, ...]:
+    """Windows of node 1, each holding the instant 50 s: a relay at 1 that
+    receives over a late-starting one and sends over an earlier-starting one
+    walks down the pieces nested between them."""
+    return tuple(TimeWindow(wid, 1, rng.choice((0, 2, 3, 4)), (50 - rng.randint(1, 40)) * SEC,
+                            (50 + rng.randint(1, 40)) * SEC)
+                 for wid in range(1, rng.randint(3, 8) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["small", "grid", "generated", "nested"]))
 def test_embedded_steps_are_graph_arcs(seed, source):
     """Replays with random relay delays, between random node pairs: the
     embedding equals the two-pass one it replaced, every step of the
     embedded path is an arc of the graph, of the step's weight, and each
     relay's same-node steps run monotone in start, so they add up to the
     gap between its receive and send windows' starts.  On the 5 s grid,
-    touching windows and equal spans are common."""
+    touching windows and equal spans are common; around one instant, runs
+    descend through nested pieces."""
     rng = random.Random(seed)
     if source == "small":
         g = random_small_twig(rng, max_vertices=30)
     elif source == "grid":
         g = build(coarse_windows(rng), SEC)
+    elif source == "nested":
+        g = build(nested_windows(rng), SEC)
     else:
         g = generated_graph(rng.choice(sorted(PRESETS)), rng.randint(0, 4))
     nodes = sorted({v.node for v in g.vertices})
