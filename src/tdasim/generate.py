@@ -92,7 +92,7 @@ def _check_feasible(params: GenerationParams) -> None:
 def _candidate(params: GenerationParams, rng: random.Random) -> Scenario | None:
     n = params.n_nodes
     source, destination = 0, n - 1
-    towers = set(rng.sample(range(n), min(5, max(2, n // 6)))) if n >= 2 else set()
+    towers = set(rng.sample(range(n), min(5, max(2, n // 6))))
     lo_m = max(params.n_malicious, 1) if n > 2 else 0
     hi_m = min(6, n - 2, params.n_windows - 1)
     if hi_m < lo_m:

@@ -395,27 +395,36 @@ def _json_us(value) -> int:
     return to_us(_finite(value))
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
+def _object(value, what: str, known: set[str], required=()) -> dict:
+    """value, when it is a JSON object with no key outside known and every key
+    in required; otherwise a ScenarioError naming what.  Every object either
+    loader reads passes this one check."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be a JSON object")
+    unknown = set(value) - known
     if unknown:
-        raise ScenarioError(f"unknown top-level keys: {_brief(sorted(unknown))}")
-    for key in ("nodes", "windows", "t_tr", "source", "destination"):
-        if key not in data:
-            raise ScenarioError(f"missing required key: {key}")
-    for key in ("nodes", "windows"):
-        if not isinstance(data[key], list) or not all(isinstance(e, dict) for e in data[key]):
-            raise ScenarioError(f"{key} must be a list of objects")
+        raise ScenarioError(f"{what} has unknown keys: {_brief(sorted(unknown))}")
+    missing = sorted(key for key in required if key not in value)
+    if missing:
+        raise ScenarioError(f"{what} missing keys: {missing}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    """value, when it is a JSON list; otherwise a ScenarioError naming what."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a JSON list")
+    return value
+
+
+def scenario_from_dict(data: dict) -> Scenario:
+    data = _object(data, "scenario document", _TOP_KEYS,
+                   ("nodes", "windows", "t_tr", "source", "destination"))
     if not isinstance(data.get("attack", {}), dict):
         raise ScenarioError("attack must be an object mapping node ids to delays")
     nodes = []
-    for nd in data["nodes"]:
-        bad = set(nd) - _NODE_KEYS
-        if bad:
-            raise ScenarioError(f"node entry has unknown keys: {_brief(sorted(bad))}")
-        if "id" not in nd:
-            raise ScenarioError("node entry missing id")
+    for nd in _list(data["nodes"], "nodes"):
+        nd = _object(nd, "node entry", _NODE_KEYS, ("id",))
         what = f"node {_brief(nd['id'])}"
         if not isinstance(nd.get("name", ""), str):
             raise ScenarioError(f"{what} name: invalid value {_brief(nd['name'])}")
@@ -432,13 +441,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             speed=_convert(_finite, nd["speed"], f"{what} speed") if "speed" in nd else None,
         ))
     windows = []
-    for wd in data["windows"]:
-        bad = set(wd) - _WINDOW_KEYS
-        if bad:
-            raise ScenarioError(f"window entry has unknown keys: {_brief(sorted(bad))}")
-        missing = _WINDOW_KEYS - set(wd)
-        if missing:
-            raise ScenarioError(f"window entry missing keys: {sorted(missing)}")
+    for wd in _list(data["windows"], "windows"):
+        wd = _object(wd, "window entry", _WINDOW_KEYS, _WINDOW_KEYS)
         what = f"window {_brief(wd['wid'])}"
         windows.append(TimeWindow(
             wid=_convert(_json_int, wd["wid"], "window id"),

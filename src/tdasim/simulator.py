@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable
 
 from .scenario import (NodeId, Scenario, ScenarioError, _brief, _convert, _json_int, _json_us,
-                       _read_json, to_seconds)
+                       _list, _object, _read_json, to_seconds)
 from .twig import Twig, _search, shortest_path
 
 
@@ -181,38 +181,26 @@ def _optional(convert: Callable) -> Callable:
 
 
 def trace_from_dict(data: dict) -> PacketTrace:
-    if not isinstance(data, dict):
-        raise ScenarioError("trace document must be a JSON object")
-    unknown = set(data) - _TRACE_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown trace keys: {_brief(sorted(unknown))}")
+    data = _object(data, "trace document", _TRACE_KEYS,
+                   ("source", "destination", "delivered", "hops"))
+    if not isinstance(data["delivered"], bool):
+        raise ScenarioError(f"trace delivered: invalid value {_brief(data['delivered'])}")
+    hops = []
+    for i, hd in enumerate(_list(data["hops"], "trace hops")):
+        hd = _object(hd, f"hop {i}", _HOP_KEYS, ("node", "t"))
+        hops.append(HopRecord(
+            node=_convert(_json_int, hd["node"], f"hop {i} node"),
+            reception_time=_convert(_json_us, hd["t"], f"hop {i} t"),
+            window=_convert(_optional(_json_int), hd.get("window"), f"hop {i} window"),
+            send_time_of_prev=_convert(_optional(_json_us), hd.get("sent_at"),
+                                       f"hop {i} sent_at"),
+        ))
+    source = _convert(_json_int, data["source"], "trace source")
+    destination = _convert(_json_int, data["destination"], "trace destination")
+    arrival = _convert(_optional(_json_us), data.get("physical_arrival"),
+                       "trace physical_arrival")
     try:
-        if not isinstance(data["hops"], list) or not all(isinstance(h, dict) for h in data["hops"]):
-            raise ScenarioError("trace hops must be a list of objects")
-        if not isinstance(data["delivered"], bool):
-            raise ScenarioError(f"trace delivered: invalid value {_brief(data['delivered'])}")
-        hops = []
-        for i, hd in enumerate(data["hops"]):
-            bad = set(hd) - _HOP_KEYS
-            if bad:
-                raise ScenarioError(f"unknown hop keys: {_brief(sorted(bad))}")
-            hops.append(HopRecord(
-                node=_convert(_json_int, hd["node"], f"hop {i} node"),
-                reception_time=_convert(_json_us, hd["t"], f"hop {i} t"),
-                window=_convert(_optional(_json_int), hd.get("window"), f"hop {i} window"),
-                send_time_of_prev=_convert(_optional(_json_us), hd.get("sent_at"),
-                                           f"hop {i} sent_at"),
-            ))
-        return PacketTrace(
-            source=_convert(_json_int, data["source"], "trace source"),
-            destination=_convert(_json_int, data["destination"], "trace destination"),
-            hops=tuple(hops),
-            delivered=data["delivered"],
-            physical_arrival=_convert(_optional(_json_us), data.get("physical_arrival"),
-                                      "trace physical_arrival"),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"trace missing key {exc}") from exc
+        return PacketTrace(source, destination, tuple(hops), data["delivered"], arrival)
     except ValueError as exc:
         raise ScenarioError(f"invalid trace: {exc}") from exc
 

@@ -215,3 +215,19 @@ def test_carriage_rule_is_stated_once():
              for scope, node in scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
              if is_carriage_comparison(node) and scope != "TimeWindow.carries"]
     assert sites == []
+
+
+def subtracts_key_set(node: ast.AST) -> bool:
+    """Is node a subtraction with a `*_KEYS` name as an operand?"""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and any(isinstance(x, ast.Name) and x.id.endswith("_KEYS")
+                    for x in (node.left, node.right)))
+
+
+def test_loaders_check_keys_only_through_one_reader():
+    """Whether a JSON object has an unknown or a missing key is asked of
+    `scenario._object`; no other code subtracts a `*_KEYS` set."""
+    sites = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for scope, node in scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+             if subtracts_key_set(node) and scope != "_object"]
+    assert sites == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,3 +82,39 @@ def test_trace_loader_fuzz(data):
     except ScenarioError:
         return
     assert trace_from_dict(trace_to_dict(trace)) == trace
+
+
+def _edited(doc: dict, edit) -> dict:
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    ("load", "doc", "message"),
+    [
+        (scenario_from_dict, [], "scenario document must be a JSON object"),
+        (trace_from_dict, [], "trace document must be a JSON object"),
+        (scenario_from_dict, _edited(SCENARIO_DOC, lambda d: d.update(extra=1)),
+         "scenario document has unknown keys: ['extra']"),
+        (trace_from_dict, _edited(TRACE_DOC, lambda d: d.update(extra=1)),
+         "trace document has unknown keys: ['extra']"),
+        (scenario_from_dict, _edited(SCENARIO_DOC, lambda d: d.pop("source")),
+         "scenario document missing keys: ['source']"),
+        (trace_from_dict, _edited(TRACE_DOC, lambda d: d.pop("source")),
+         "trace document missing keys: ['source']"),
+        (scenario_from_dict, _edited(SCENARIO_DOC, lambda d: d["nodes"].insert(0, 5)),
+         "node entry must be a JSON object"),
+        (scenario_from_dict, _edited(SCENARIO_DOC, lambda d: d["windows"].insert(0, 5)),
+         "window entry must be a JSON object"),
+        (trace_from_dict, _edited(TRACE_DOC, lambda d: d["hops"].insert(0, 5)),
+         "hop 0 must be a JSON object"),
+    ],
+    ids=["scenario-not-object", "trace-not-object", "scenario-unknown-key", "trace-unknown-key",
+         "scenario-missing-key", "trace-missing-key", "node-not-object", "window-not-object",
+         "hop-not-object"],
+)
+def test_loaders_name_the_same_defect_in_the_same_words(load, doc, message):
+    with pytest.raises(ScenarioError) as err:
+        load(doc)
+    assert str(err.value) == message

@@ -268,6 +268,8 @@ def test_trace_from_dict_rejects_malformed_values(data):
     with pytest.raises(ScenarioError) as err:
         trace_from_dict(data)
     assert len(str(err.value)) < 200  # the bad value is quoted, but cut short
+    # the prefix marks a broken trace invariant, not a malformed value
+    assert not str(err.value).startswith("invalid trace:")
 
 
 def test_trace_validation():
