@@ -12,6 +12,7 @@ the message.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, Union
 
 from .scenario import NodeId, Scenario, TimeWindow, to_seconds
@@ -125,14 +126,20 @@ class NeighborTables:
 
         Split pieces keep their pair, so the graph's pieces by neighbor name
         the node's contacts and, through theirs, its two-hop neighborhood.
+        The graph never changes, so the tables are made once per node and kept
+        in its instance __dict__, which its equality and repr ignore; every
+        caller shares them, so their mappings are read-only.
         """
-        pieces = dict(g.windows_by_neighbor(node))
-        one = frozenset(pieces)
-        two = one.union(*map(g.windows_by_neighbor, one)) - {node}
-        originals = {nbr: tuple(sorted({g.original_of(w.wid) for w in ws},
-                                       key=lambda w: (w.start, w.wid)))
-                     for nbr, ws in pieces.items()}
-        return cls(node, one, two, originals, pieces)
+        kept = vars(g).setdefault("neighbor_tables", {})
+        if node not in kept:
+            pieces = g.windows_by_neighbor(node)
+            one = frozenset(pieces)
+            two = one.union(*map(g.windows_by_neighbor, one)) - {node}
+            originals = {nbr: tuple(sorted({g.original_of(w.wid) for w in ws},
+                                           key=lambda w: (w.start, w.wid)))
+                         for nbr, ws in pieces.items()}
+            kept[node] = cls(node, one, two, MappingProxyType(originals), pieces)
+        return kept[node]
 
 
 def detect_global(g: Twig, trace: PacketTrace) -> DetectionReport:
@@ -245,23 +252,20 @@ class LocalScan:
 
 def run_local_pipeline(s: Scenario, g: Twig, trace: PacketTrace) -> LocalScan:
     """Replay the trace, running the local detector at every receiving node."""
-    tables: dict[NodeId, NeighborTables] = {}
     reports: list[DetectionReport] = []
     alerts: list[Alert] = []
     hops = trace.hops
     for i in range(1, len(hops)):
         observer = hops[i].node
-        if observer not in tables:
-            tables[observer] = NeighborTables.from_scenario(s, g, observer)
+        tables = NeighborTables.from_scenario(s, g, observer)
         meta = HopMetadata(
             info_1=None if i < 2 else RelayInfo(hops[i - 2].node, hops[i - 2].reception_time),
             info_2=RelayInfo(hops[i - 1].node, hops[i - 1].reception_time),
         )
-        report = detect_local(observer, hops[i].reception_time, meta,
-                              tables[observer], s.t_tr)
+        report = detect_local(observer, hops[i].reception_time, meta, tables, s.t_tr)
         reports.append(report)
         for node in report.flagged:
-            alerts.append(Alert(observer, node, tuple(sorted(tables[observer].two_hop))))
+            alerts.append(Alert(observer, node, tuple(sorted(tables.two_hop))))
     return LocalScan(tuple(reports), tuple(alerts))
 
 

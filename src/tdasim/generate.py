@@ -137,6 +137,13 @@ def _conclusive(s: Scenario) -> bool:
     # calls (bench/run.py counts them as conclusive checks); kept as s.graph,
     # so evaluating the accepted candidate reuses the graph and its memo
     g = vars(s)["graph"] = build(s.windows, s.t_tr)
+    # the checks are one conjunction over one graph, so their order decides
+    # only the work done: the attacked replay rejects most candidates, and
+    # cheaply, so it goes first
+    attackers = s.attack.attackers()
+    at = simulate(s, g)
+    if not at.delivered or not attackers <= {h.node for h in at.hops[:-1]}:
+        return False
     benign = s.without_attack()
     bt = simulate(benign, g)
     if not bt.delivered:
@@ -146,15 +153,8 @@ def _conclusive(s: Scenario) -> bool:
         return False  # detect_global flags nobody when the two are equal
     if run_local_pipeline(benign, g, bt).merged_flagged():
         return False
-    attackers = s.attack.attackers()
     if not attackers:
         return True
-    at = simulate(s, g)
-    if not at.delivered:
-        return False
-    senders = {h.node for h in at.hops[:-1]}
-    if not attackers <= senders:
-        return False
     greport = detect_global(g, at)
     if not set(greport.flagged) <= attackers:
         return False

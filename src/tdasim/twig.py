@@ -64,7 +64,8 @@ class Twig:
     per node its pieces by neighbor, the vertices in (node, wid) order,
     numbered in that order, and per vertex its window start, its
     within-window mate and where its same-node arcs begin in its node's run.
-    The one thing that grows is a memo of the searches asked of the graph.
+    What grows is a memo of the searches asked of the graph and the paths
+    they found, whose suffixes answer later searches from their vertices.
     """
 
     split_windows: tuple[TimeWindow, ...]
@@ -79,6 +80,9 @@ class Twig:
         # _search's answers by (seeds, to_node, now); not a field, so equality
         # and repr ignore it
         self._memo: dict = {}
+        # (vertex, to_node) -> (now0, path, k): the earliest gated search, at
+        # now0, that found a path through the vertex, path[k] being that vertex
+        self._tails: dict = {}
         by_pair: dict[tuple[NodeId, NodeId], list[TimeWindow]] = {}
         for w in self.split_windows:
             by_pair.setdefault(w.pair, []).append(w)
@@ -310,11 +314,28 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
     carry vertex ids, whose order is the vertex order, and the answer holds
     the graph's own vertices.  The graph never changes, so it answers a
     repeated search from its memo.
+
+    A search from one vertex at offset 0, gated at now, is also answered by
+    the rest of a path P an earlier search gated at now0 <= now found through
+    that vertex to to_node, when every crossing of that rest is usable at now:
+    usable only shrinks as now grows, since a piece lies inside its original;
+    a suffix of a least (weight, hops, vertex sequence) path is least from its
+    first vertex; so a suffix that is still usable beats every path in the
+    smaller graph.
     """
     seeds = tuple(seeds)
     memo_key = (seeds, to_node, now)
     if memo_key in g._memo:
         return g._memo[memo_key]
+    if now is not None and len(seeds) == 1 and seeds[0][0] == 0:
+        tail = g._tails.get((seeds[0][1], to_node))
+        if tail is not None and tail[0] <= now:
+            _, path, k = tail
+            if all(u.node == v.node or g.usable(u.wid, now)
+                   for u, v in zip(path[k:], path[k + 1:])):
+                p = _path(g, path[k:])
+                found = g._memo[memo_key] = (p.total_weight, p.hops, p.vertices)
+                return found
     verts, start, mate, run, run_from = g.vertices, g._start, g._mate, g._run, g._run_from
     t_tr = g.t_tr
     best = [_NO_LABEL] * len(verts)  # least label pushed per vertex
@@ -354,6 +375,14 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
                 best[v] = label = (w, hops, path + (v,))
                 push(heap, label)
     g._memo[memo_key] = found
+    if found is not None and now is not None:
+        # an entry gives way only to a search at an earlier instant, which
+        # admits more later ones: a replay plans at rising instants, but the
+        # generator's benign replay plans earlier than its attacked one
+        tails, route = g._tails, found[2]
+        for k, v in enumerate(route[:-1]):
+            if (v, to_node) not in tails or now < tails[v, to_node][0]:
+                tails[v, to_node] = (now, route, k)
     return found
 
 

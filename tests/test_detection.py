@@ -185,6 +185,16 @@ def test_neighbor_tables_match_the_window_scan(preset):
                     oracle_neighbor_tables(scenario, g, h.node), (seed, h.node)
 
 
+def test_neighbor_tables_are_made_once_per_graph_and_observer(demo):
+    g = build(demo.windows, demo.t_tr)
+    first = tables_for(demo, g, C)
+    assert tables_for(demo.without_attack(), g, C) is first
+    assert tables_for(demo, g, D) is not first
+    other = build(demo.windows, demo.t_tr)
+    assert tables_for(demo, other, C) == first and tables_for(demo, other, C) is not first
+    assert g == other and repr(g) == repr(other)
+
+
 def test_local_benign_pipeline_is_silent(demo, demo_graph):
     scan = run_local_pipeline(demo, demo_graph, simulate(demo, demo_graph))
     assert scan.merged_flagged() == ()

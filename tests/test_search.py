@@ -1,9 +1,11 @@
 """The time-window graph's search: the replaced search as oracle on large
-graphs, the work it does, and the memo that answers repeated searches."""
+graphs, the work it does, the memo that answers repeated searches, and the
+found paths whose suffixes answer searches from their vertices."""
 
 from __future__ import annotations
 
 import functools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,10 @@ from hypothesis import strategies as st
 from support import oracle_search, staircase
 from tdasim import (
     PRESETS,
+    AttackConfig,
+    Node,
+    NodeKind,
+    Scenario,
     TimeWindow,
     benign_next_hop,
     build,
@@ -116,16 +122,85 @@ def test_search_work_on_generated_scenarios(monkeypatch):
 
     The counts are deterministic.  Before labels were pruned against their
     vertex's best and searches memoised on the graph, the same calls made
-    186 225 pushes (seeds included), 67 370 pops and 1 791 searches.
+    186 225 pushes (seeds included), 67 370 pops and 1 791 searches.  Before
+    searches were answered from the suffixes of found paths and the generator
+    replayed the attacked candidate first, they made 26 194 pushes, 13 531
+    pops and 477 searches.
     """
     counter = CountingHeap(twig.heapq)
     monkeypatch.setattr(twig, "heapq", counter)
     for preset in ("table2-row3", "table2-row5"):
         for seed in range(10):
             evaluate_scenario(generate(preset_params(preset, seed)), timing_repeats=0)
-    assert counter.pushes <= 36_551
-    assert counter.pops <= 18_656
-    assert counter.searches <= 1_090
+    assert counter.pushes <= 9_555
+    assert counter.pops <= 5_049
+    assert counter.searches <= 197
+
+
+def scale_case() -> Scenario:
+    """1000 windows among 100 nodes, from node 0 to node 99: each window joins
+    two distinct nodes, lasts 5-15 s and starts in the first 600 s."""
+    rng = random.Random(1)
+    windows = []
+    for wid in range(1, 1001):
+        a, b = rng.sample(range(100), 2)
+        length = rng.uniform(5, 15)
+        start = rng.uniform(0, 600)
+        windows.append(TimeWindow(wid, a, b, to_us(start), to_us(start + length)))
+    return Scenario(nodes=tuple(Node(i, NodeKind.UAV) for i in range(100)),
+                    windows=tuple(windows), t_tr=SEC, source=0, destination=99,
+                    attack=AttackConfig({}))
+
+
+def test_search_work_on_the_scale_case(monkeypatch):
+    """A replay and the global check on a fresh graph of the scale case.
+
+    The counts are deterministic.  When each of the replay's plans ran its
+    own search, the two made 5 searches and 69 796 pops.  The replay's later
+    plans are suffixes of its first, and so is every comparison path.
+    """
+    s = scale_case()
+    counter = CountingHeap(twig.heapq)
+    monkeypatch.setattr(twig, "heapq", counter)
+    g = build(s.windows, s.t_tr)
+    detect_global(g, simulate(s, g))
+    assert counter.searches <= 1
+    assert counter.pops <= 20_448
+
+
+@st.composite
+def path_questions(draw, graphs):
+    """A fresh graph, a first gated search for it, and a stream of instants.
+
+    The first search starts from one vertex, or is benign_next_hop's search
+    from every window of a holder usable at its instant."""
+    windows, t_tr = draw(graphs)
+    g = build(windows, t_tr)
+    nodes = sorted({v.node for v in g.vertices})
+    instants = st.integers(min(w.start for w in windows), max(w.end for w in windows))
+    now = draw(instants)
+    if draw(st.booleans()):
+        seeds = [(0, draw(st.sampled_from(g.vertices)).key)]
+    else:
+        holder = draw(st.sampled_from(nodes))
+        seeds = [(max(w.start, now) - now, (holder, w.wid))
+                 for w in g.windows_of_node(holder) if g.usable(w.wid, now)]
+    return g, seeds, draw(st.sampled_from(nodes)), now, instants
+
+
+@settings(max_examples=500, deadline=None)
+@given(path_questions(preset_windows() | staircase_windows() | tied_windows()), st.data())
+def test_searches_along_a_found_path_match_the_replaced_search(question, data):
+    """After a search finds a path, a search from each of its vertices but the
+    last, at an instant earlier or later than the first search's, gives the
+    replaced search's answer on a graph that was asked nothing before."""
+    g, seeds, to_node, now, instants = question
+    fresh = build(g.originals, g.t_tr)
+    found = _search(g, seeds, to_node, now)
+    assert found == oracle_search(fresh, seeds, to_node, now)
+    for v in found[2][:-1] if found else ():
+        at = data.draw(instants)
+        assert _search(g, [(0, v)], to_node, at) == oracle_search(fresh, [(0, v)], to_node, at)
 
 
 def searched_graph():
