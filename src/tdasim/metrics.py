@@ -70,7 +70,9 @@ def time_phases(s: Scenario, repeats: int = 10) -> dict[str, float]:
     """Median wall-clock seconds per pipeline phase over the given repeats.
 
     Each repeat builds a new graph rather than reading s.graph, so the timings
-    cover a real build and searches on an empty memo.
+    cover a real build and searches on an empty memo.  The detectors run on
+    a second graph, built untimed, since simulate's searches would answer
+    detect_global's from the memo.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -87,8 +89,9 @@ def time_phases(s: Scenario, repeats: int = 10) -> dict[str, float]:
         g = measure("build", lambda: build(s.windows, s.t_tr))
         trace = measure("simulate", lambda: simulate(s, g))
         if trace.delivered:
-            measure("detect_global", lambda: detect_global(g, trace))
-            measure("detect_local", lambda: run_local_pipeline(s, g, trace))
+            fresh = build(s.windows, s.t_tr)
+            measure("detect_global", lambda: detect_global(fresh, trace))
+            measure("detect_local", lambda: run_local_pipeline(s, fresh, trace))
     return {name: statistics.median(vals) for name, vals in samples.items()}
 
 

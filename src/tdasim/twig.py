@@ -453,24 +453,25 @@ def _edges(g: Twig) -> Iterator[tuple[int, int, int, str]]:
 
     An undirected edge runs from the lower node id across a window, and from
     the containing window into the inner one; of two equal spans, the lower
-    wid contains the other.  Succession edges run forward in time.
+    wid contains the other.  Succession edges run forward in time.  u's
+    same-node edges go to the vertices of its node, one range of ids, whose
+    window ends after u's starts; u itself fails the strict key comparison.
+    The mate's node is higher, so its id follows them.
     """
-    verts, start, mate, run, run_from = g.vertices, g._start, g._mate, g._run, g._run_from
+    verts, start, mate = g.vertices, g._start, g._mate
     end = [g._piece[wid].end for _, wid in verts]
-    for u, (_, wid) in enumerate(verts):
+    hi = 0
+    for u, (node, wid) in enumerate(verts):
+        if u == hi:  # u opens its node's range of ids
+            lo, hi = u, bisect_left(verts, (node + 1,), u)
         s, e = start[u], end[u]
-        ids, starts = run[u]
-        out = []
-        for k in range(run_from[u], len(ids)):
-            v = ids[k]
-            if e <= starts[k]:
-                out.append((v, starts[k] - s, "succession"))
-            elif v != u and (s, -e, wid) < (starts[k], -end[v], verts[v].wid):
-                out.append((v, starts[k] - s, "containment"))
-        out.sort()
-        for v, weight, origin in out:
-            yield u, v, weight, origin
-        if u < mate[u]:  # the mate's node is higher, so its id follows the run's
+        for v in range(lo, hi):
+            if end[v] > s:
+                if e <= start[v]:
+                    yield u, v, start[v] - s, "succession"
+                elif (s, -e, wid) < (start[v], -end[v], verts[v].wid):
+                    yield u, v, start[v] - s, "containment"
+        if u < mate[u]:
             yield u, mate[u], g.t_tr, "within_window"
 
 
@@ -479,31 +480,49 @@ def graph_to_dict(g: Twig) -> dict:
     return json.loads("".join(_graph_json(g)))
 
 
-# rows per yielded chunk: yielding one row at a time raised the dense-all bench's
-# op_ms.p50 from 72-124 ms to 118-154 ms (seed 1, 2 CPUs, Python 3.11.7; four
-# alternating pairs of 8 s runs, each pair worse)
-_CHUNK_ROWS = 128
+_CHUNK_ROWS = 128  # rows per yielded chunk of graph.json
 _VERTEX_ROW = ('    {\n      "node": %d,\n      "wid": %d,\n      "label": %s,\n'
                '      "start": %r,\n      "end": %r\n    }')
+# an edge row is a head per source vertex, a block per target vertex and a
+# tail per (weight, origin)
+_EDGE_HEAD = '    {\n      "u": [\n        %d,\n        %d\n      ],\n'
+_EDGE_TARGET = '      "v": [\n        %d,\n        %d\n      ],\n'
+_EDGE_TAILS = {
+    origin: (f'      "kind": {encode_basestring_ascii(kind)},\n      "weight": %r,\n'
+             f'      "origin": {encode_basestring_ascii(origin)}\n    }}')
+    for origin, kind in (("succession", "directed"), ("containment", "undirected"),
+                         ("within_window", "undirected"))}
+_TAIL_MEMO = 1024  # most edge tails _edge_texts keeps at once
 
 
-def _edge_row(origin: str) -> str:
-    kind = "directed" if origin == "succession" else "undirected"
-    return ('    {\n      "u": [\n        %d,\n        %d\n      ],\n'
-            '      "v": [\n        %d,\n        %d\n      ],\n'
-            f'      "kind": {encode_basestring_ascii(kind)},\n      "weight": %r,\n'
-            f'      "origin": {encode_basestring_ascii(origin)}\n    }}')
+def _edge_texts(g: Twig, head: Callable[[int], str], target: Callable[[int], str],
+                tail: Callable[[int, str], str]) -> Iterator[str]:
+    """Each edge of _edges as head(u) + target(v) + tail(weight, origin).
 
-
-_EDGE_ROWS = {o: _edge_row(o) for o in ("succession", "containment", "within_window")}
+    A head is made once per source vertex and a tail once per distinct
+    (weight, origin).  The memo of tails is emptied when it reaches
+    _TAIL_MEMO entries, so a graph whose weights are all distinct cannot
+    grow it past that.
+    """
+    tails: dict[tuple[int, str], str] = {}
+    last = -1
+    for u, v, weight, origin in _edges(g):
+        if u != last:
+            last, text = u, head(u)
+        end = tails.get((weight, origin))
+        if end is None:
+            if len(tails) == _TAIL_MEMO:
+                tails.clear()
+            end = tails[weight, origin] = tail(weight, origin)
+        yield text + target(v) + end
 
 
 def _graph_json(g: Twig) -> Iterator[str]:
     """graph.json's text, in chunks, with no dict per vertex or edge.
 
-    Each vertex and edge is one template row at the indent json.dumps(indent=2)
-    writes, and %r of a float is the repr json writes, so the text is what
-    json.dumps of the same content as a dict would write.
+    Each vertex and edge is a row of template text at the indent
+    json.dumps(indent=2) writes, and %r of a float is the repr json writes,
+    so the text is what json.dumps of the same content as a dict would write.
     """
     verts, piece, labels = g.vertices, g._piece, g._labels
     yield '{\n  "t_tr": %r,\n  "vertices": ' % to_seconds(g.t_tr)
@@ -512,9 +531,9 @@ def _graph_json(g: Twig) -> Iterator[str]:
                        to_seconds(piece[wid].start), to_seconds(piece[wid].end))
         for node, wid in verts)
     yield ',\n  "edges": '
-    yield from _json_list(
-        _EDGE_ROWS[origin] % (verts[u] + verts[v] + (to_seconds(weight),))
-        for u, v, weight, origin in _edges(g))
+    yield from _json_list(_edge_texts(
+        g, lambda u: _EDGE_HEAD % verts[u], lambda v: _EDGE_TARGET % verts[v],
+        lambda weight, origin: _EDGE_TAILS[origin] % to_seconds(weight)))
     yield "\n}\n"
 
 
@@ -532,25 +551,26 @@ def to_dot(g: Twig, node_label: Callable[[NodeId], str] = str) -> str:
     return "".join(_dot_lines(g, node_label))
 
 
+_DOT_STYLES = {"succession": "", "containment": ", dir=none, style=dashed",
+               "within_window": ", dir=none"}
+
+
 def _dot_lines(g: Twig, node_label: Callable[[NodeId], str]) -> Iterator[str]:
     """The lines of to_dot's text, each with its newline."""
     def quoted(v: TwigVertex) -> str:
         label = g.vertex_label(v, node_label)
         return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    names = [quoted(v) for v in g.vertices]
-    yield "digraph twig {\n"
-    for name in names:
-        yield f"  {name};\n"
-    for u, v, weight, origin in _edges(g):
+    def attrs(weight: int, origin: str) -> str:
         x = to_seconds(weight)
         text = f"{x:g}"
         if float(text) != x:  # six significant digits would merge distinct weights
             text = repr(x)
-        attrs = f'label="{text}"'
-        if origin != "succession":
-            attrs += ", dir=none"
-        if origin == "containment":
-            attrs += ", style=dashed"
-        yield f"  {names[u]} -> {names[v]} [{attrs}];\n"
+        return f' [label="{text}"{_DOT_STYLES[origin]}];\n'
+
+    names = [quoted(v) for v in g.vertices]
+    yield "digraph twig {\n"
+    for name in names:
+        yield f"  {name};\n"
+    yield from _edge_texts(g, lambda u: f"  {names[u]} -> ", names.__getitem__, attrs)
     yield "}\n"

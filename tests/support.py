@@ -8,8 +8,10 @@ same-node closure explicitly, so the edges the graph dumps and the arcs it
 derives on demand can be checked against it, the graph.json oracle adds a
 row per vertex to those edges, and the split oracle cuts one
 pair at a time, rescanning from scratch.  The window-derivation oracle is
-the state-machine sampling loop the grouped runs replaced, and the embedding
-oracle is the two-pass trace embedding that embed_trace's one walk replaced.
+the state-machine sampling loop the grouped runs replaced, the embedding
+oracle is the two-pass trace embedding that embed_trace's one walk replaced,
+and the run-scan edge oracle is the edge enumeration that the dumps' scan
+of a node's id range replaced.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from tdasim import (
     AttackConfig,
@@ -160,6 +162,36 @@ def oracle_search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_n
             if not done[v]:  # u itself is done
                 push(heap, (weight + abs(starts[k] - s), hops, path + (v,)))
     return None
+
+
+def oracle_run_edges(g: Twig) -> Iterator[tuple[int, int, int, str]]:
+    """Every edge once as (u id, v id, weight, origin), in (u, v) vertex order.
+
+    The enumeration ``twig._edges`` replaced, kept verbatim: it walks the
+    suffix of u's node's run whose windows end after u's starts and sorts
+    each vertex's edges.
+
+    An undirected edge runs from the lower node id across a window, and from
+    the containing window into the inner one; of two equal spans, the lower
+    wid contains the other.  Succession edges run forward in time.
+    """
+    verts, start, mate, run, run_from = g.vertices, g._start, g._mate, g._run, g._run_from
+    end = [g._piece[wid].end for _, wid in verts]
+    for u, (_, wid) in enumerate(verts):
+        s, e = start[u], end[u]
+        ids, starts = run[u]
+        out = []
+        for k in range(run_from[u], len(ids)):
+            v = ids[k]
+            if e <= starts[k]:
+                out.append((v, starts[k] - s, "succession"))
+            elif v != u and (s, -e, wid) < (starts[k], -end[v], verts[v].wid):
+                out.append((v, starts[k] - s, "containment"))
+        out.sort()
+        for v, weight, origin in out:
+            yield u, v, weight, origin
+        if u < mate[u]:  # the mate's node is higher, so its id follows the run's
+            yield u, mate[u], g.t_tr, "within_window"
 
 
 def oracle_neighbor_tables(s: Scenario, g: Twig, node: int) -> NeighborTables:

@@ -231,3 +231,14 @@ def test_loaders_check_keys_only_through_one_reader():
              for scope, node in scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
              if subtracts_key_set(node) and scope != "_object"]
     assert sites == []
+
+
+def test_runs_are_read_only_by_the_index_and_the_search():
+    """A node's run, its vertex ids by window end, serves the search's
+    same-node arcs; the dumps scan the node's range of ids instead, so
+    inside the package only the index that makes the runs and the search
+    read them."""
+    sites = {f"{path.name}: {scope}" for path in sorted(PACKAGE.glob("*.py"))
+             for scope, node in scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("_run", "_run_from")}
+    assert sites == {"twig.py: Twig.__post_init__", "twig.py: _search"}

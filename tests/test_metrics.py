@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from support import A, B, C, make_demo
+from tdasim import metrics
 from tdasim import (
     MODES,
     PRESETS,
@@ -101,7 +102,22 @@ def test_time_phases_builds_afresh_each_repeat(build_calls):
     s.graph  # a kept graph must not turn the build timing into a lookup
     build_calls.clear()
     time_phases(s, repeats=3)
-    assert len(build_calls) == 3
+    assert len(build_calls) == 6  # per repeat, one graph to replay and one to judge
+
+
+def test_time_phases_judges_on_an_empty_search_memo(monkeypatch):
+    """The timed global check searches for itself: simulate's searches on the
+    same graph would answer its comparison paths from the memo."""
+    memos = []
+    real = metrics.detect_global
+
+    def recording(g, trace):
+        memos.append((dict(g._memo), dict(g._tails)))
+        return real(g, trace)
+
+    monkeypatch.setattr(metrics, "detect_global", recording)
+    time_phases(make_demo({A: 5}), repeats=2)
+    assert memos == [({}, {}), ({}, {})]
 
 
 def test_time_phases_skips_detection_when_dropped():

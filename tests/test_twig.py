@@ -28,6 +28,7 @@ from support import (
     oracle_edges,
     oracle_embed_trace,
     oracle_graph_dict,
+    oracle_run_edges,
     oracle_shortest,
     oracle_split,
     random_small_twig,
@@ -61,7 +62,7 @@ from tdasim import (
 from tdasim import twig
 from tdasim.cli import _emit
 from tdasim.scenario import dumps
-from tdasim.twig import _dot_lines, _graph_json, _split, _window_labels
+from tdasim.twig import _dot_lines, _edges, _graph_json, _split, _window_labels
 
 SEC = to_us(1)
 
@@ -769,6 +770,37 @@ def test_demo_dump_bytes_are_pinned():
         assert (hashlib.sha256(data).hexdigest(), len(data)) == pinned
 
 
+def test_staircase_dump_bytes_are_pinned():
+    """The 24-window staircase (588 vertices, 26 336 edges), whose edge rows
+    share heads and tails, as the writers wrote it before each row was
+    joined from reused pieces of text."""
+    g = build(staircase(24), SEC)
+    assert (len(g.vertices), sum(1 for _ in _edges(g))) == (588, 26_336)
+    for text, pinned in (
+        ("".join(_graph_json(g)),
+         ("90f0bf27b04a00498cea6b2a1f3da1766884284eaa03b3af22327bffcdc9b964", 4_776_421)),
+        ("".join(_dot_lines(g, str)),
+         ("e2aa980fd6104776e15834e58c14309a466a1e6f8756ba7bfd527c2e82162c2e", 1_003_389)),
+    ):
+        data = text.encode("utf-8")
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == pinned
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2),
+                                                  st.integers(0, 4)), max_size=8),
+       st.integers(1, 16), st.integers(1, 3 * SEC))
+def test_edges_match_the_run_scan(seed, nested, k, t_tr):
+    """The scan of each node's id range yields the run-suffix enumeration's
+    edges in its order: on random graphs, on windows nested around one
+    centre (equal spans among them), on staircases and on the empty graph."""
+    nest = tuple(TimeWindow(wid, a, a + d, c * SEC, (10 - c) * SEC)
+                 for wid, (a, d, c) in enumerate(nested, start=1))
+    for g in (random_small_twig(random.Random(seed), max_vertices=30), build(nest, t_tr),
+              build(staircase(k), t_tr), build((), t_tr)):
+        assert list(_edges(g)) == list(oracle_run_edges(g))
+
+
 def test_window_labels_are_made_only_when_read(monkeypatch):
     """A graph that is only replayed and judged never labels its pieces; the
     first label or dump makes them once."""
@@ -838,6 +870,47 @@ def test_graph_json_is_written_in_bounded_memory(tmp_path):
 
     p30, p60 = peak(30), peak(60)
     assert p60 < 1_000_000 and p60 <= 1.5 * p30, (p30, p60)
+
+
+def test_edge_tails_are_remade_after_the_memo_empties(monkeypatch):
+    """With room for two tails the memo empties again and again, and both
+    writers still write the same text."""
+    g = build(staircase(12), SEC)
+    want = "".join(_graph_json(g)), to_dot(g)
+    monkeypatch.setattr(twig, "_TAIL_MEMO", 2)
+    assert ("".join(_graph_json(g)), to_dot(g)) == want
+
+
+def test_edge_tails_are_made_once_per_weight_and_origin(monkeypatch):
+    """Seconds are written once per vertex end and once per distinct
+    (weight, origin), not once per edge."""
+    g = build(staircase(12), SEC)
+    tails = {(weight, origin) for _, _, weight, origin in _edges(g)}
+    calls = []
+    real = twig.to_seconds
+    monkeypatch.setattr(twig, "to_seconds", lambda us: calls.append(us) or real(us))
+    "".join(_graph_json(g))
+    assert len(calls) == 1 + 2 * len(g.vertices) + len(tails) < len(list(_edges(g)))
+    calls.clear()
+    to_dot(g)
+    assert len(calls) == len(tails)
+
+
+def test_edge_tail_memo_is_bounded_when_every_weight_differs(tmp_path):
+    """150 windows of one node nested at starts i**3 us: 11 175 containment
+    edges, nearly every weight distinct, yet writing graph.json peaks under
+    the 1 MB the staircases stay within."""
+    g = build(tuple(TimeWindow(i, 0, i, i**3, 10**9 - i**3) for i in range(1, 151)), SEC)
+    weights = [weight for _, _, weight, origin in _edges(g) if origin == "containment"]
+    assert len(weights) == 11_175 and len(set(weights)) > 10_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _emit(_graph_json(g), tmp_path / "graph.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_dot_labels_keep_weights_exact():
