@@ -165,10 +165,9 @@ def _eor_text(hops: tuple[int, ...], fmt: str) -> str:
     model = OverheadModel()
     table = {mode: [eor(model, mode, h) for h in hops] for mode in MODES}
     if fmt == "csv":
-        lines = ["hops,global,local,hotd"]
-        for i, h in enumerate(hops):
-            lines.append(f"{h},{table['global'][i]:.6f},{table['local'][i]:.6f},"
-                         f"{table['hotd'][i]:.6f}")
+        lines = [",".join(("hops", *MODES))]
+        lines += [",".join((str(h), *(f"{table[mode][i]:.6f}" for mode in MODES)))
+                  for i, h in enumerate(hops)]
         return "\n".join(lines) + "\n"
     return dumps({"hops": list(hops), "eor": table})
 

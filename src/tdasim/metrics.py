@@ -18,42 +18,38 @@ from .scenario import NodeId, Scenario, to_seconds
 from .simulator import PacketTrace, simulate
 from .twig import build
 
-MODES = ("global", "local", "hotd")
 
-
-@dataclass(frozen=True)
 class OverheadModel:
-    message_bits: int = 1400
-    node_id_bits: int = 7
-    reception_time_bits: int = 13
-    local_bits: int = 40   # two carried relay records, fixed
-    hotd_bits: int = 105   # reference scheme's per-hop attachment
+    """The paper's fixed sizes, in bits: the message, and per mode the record
+    it attaches and whether records pile up, j of them at hop j, or one
+    constant record rides every hop."""
 
-    @property
-    def global_bits(self) -> int:
-        return self.node_id_bits + self.reception_time_bits
+    message_bits = 1400
+    global_bits = 7 + 13  # a node id and a reception time
+    records = {"global": (global_bits, True),
+               "local": (40, False),  # two carried relay records, fixed
+               "hotd": (105, True)}   # the reference scheme's per-hop record
+
+
+MODES = tuple(OverheadModel.records)
 
 
 def eor(model: OverheadModel, mode: str, hops: Union[int, Sequence[int]]) -> float:
     """Extra overhead ratio: attached metadata bits over payload bits.
 
     Cumulative modes (global, hotd) attach j records at hop j, so a message
-    of H hops contributes H(H+1)/2 attachments; local attaches a constant.
+    of H hops contributes H(H+1)/2 attachments; local attaches one per hop.
     """
     counts = [hops] if isinstance(hops, int) else list(hops)
     if not counts:
         raise ValueError("at least one hop count is required")
     if any(h < 1 for h in counts):
         raise ValueError("hop counts must be at least 1")
-    payload = sum(model.message_bits * h for h in counts)
-    if mode == "global":
-        attached = sum(model.global_bits * h * (h + 1) // 2 for h in counts)
-    elif mode == "hotd":
-        attached = sum(model.hotd_bits * h * (h + 1) // 2 for h in counts)
-    elif mode == "local":
-        attached = sum(model.local_bits * h for h in counts)
-    else:
+    if mode not in model.records:
         raise ValueError(f"unknown mode: {mode!r}")
+    bits, cumulative = model.records[mode]
+    payload = sum(model.message_bits * h for h in counts)
+    attached = sum(bits * (h * (h + 1) // 2 if cumulative else h) for h in counts)
     return attached / payload
 
 

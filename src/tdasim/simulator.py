@@ -16,7 +16,7 @@ from typing import Callable
 
 from .scenario import (NodeId, Scenario, ScenarioError, _brief, _convert, _json_int, _json_us,
                        _list, _object, _read_json, to_seconds)
-from .twig import Twig, _search, shortest_path
+from .twig import Twig, _search
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,10 @@ class PacketTrace:
                 raise ValueError("delivered trace must end at the destination")
             if self.physical_arrival != self.hops[-1].reception_time:
                 raise ValueError("physical_arrival must equal the final reception time")
+        elif self.physical_arrival is not None:
+            raise ValueError("undelivered trace must have no physical_arrival")
+        elif self.hops[-1].node == self.destination:
+            raise ValueError("undelivered trace must not end at the destination")
 
     @property
     def path(self) -> tuple[NodeId, ...]:
@@ -96,12 +100,12 @@ def _plan(
             return None
         neighbor, wid = nh
         return neighbor, wid, max(now, g.window(wid).start)
-    path = shortest_path(g, (holder, recv_wid), s.destination, now=now)
-    if path is None:
+    route = _search(g, [(0, (holder, recv_wid))], s.destination, now)
+    if route is None:
         return None
-    # the path runs from the holder to the destination, so it crosses a window
+    # the route runs from the holder to the destination, so it crosses a window
     return next((v.node, u.wid, max(now, g.window(u.wid).start))
-                for u, v in zip(path.vertices, path.vertices[1:]) if u.node != v.node)
+                for u, v in zip(route, route[1:]) if u.node != v.node)
 
 
 def _retarget(g: Twig, holder: NodeId, planned: int, eps: int) -> tuple[int, NodeId] | None:
@@ -131,7 +135,7 @@ def benign_next_hop(s: Scenario, g: Twig, holder: NodeId, now: int) -> tuple[Nod
     found = _search(g, seeds, s.destination, now)
     if found is None:
         return None
-    wid = found[2][0].wid  # the seed window the winning path starts from
+    wid = found[0].wid  # the seed window the winning path starts from
     return g.window(wid).other(holder), wid
 
 

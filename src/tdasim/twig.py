@@ -282,12 +282,8 @@ def shortest_path(
     within-window edges are traversable only if the window is usable at that
     instant; same-node edges are never restricted.
     """
-    if start not in g._ix:
-        raise ValueError(f"vertex {start} is not in the graph")
     found = _search(g, [(0, start)], to_node, now)
-    if found is None:
-        return None
-    return _path(g, found[2])
+    return None if found is None else _path(g, found)
 
 
 def _path(g: Twig, verts: tuple[TwigVertex, ...]) -> TwigPath:
@@ -303,8 +299,8 @@ _NO_LABEL = (float("inf"), 0, ())
 
 
 def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: NodeId,
-            now: int | None) -> tuple[int, int, tuple[TwigVertex, ...]] | None:
-    """Least (weight, hops, vertex sequence) label reaching to_node, or None.
+            now: int | None) -> tuple[TwigVertex, ...] | None:
+    """The vertices of the least (weight, hops, vertex sequence) path to to_node, or None.
 
     Each seed (offset, (node, wid)) starts a path at that vertex with the offset as
     its weight, so one search ranks every seed at once.  The order is total
@@ -312,8 +308,8 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
     and a label no smaller than one already pushed for its vertex can never
     settle it: only labels that beat their vertex's best are pushed.  Labels
     carry vertex ids, whose order is the vertex order, and the answer holds
-    the graph's own vertices.  The graph never changes, so it answers a
-    repeated search from its memo.
+    the graph's own vertices; a seed that is not one is a ValueError.  The
+    graph never changes, so it answers a repeated search from its memo.
 
     A search from one vertex at offset 0, gated at now, is also answered by
     the rest of a path P an earlier search gated at now0 <= now found through
@@ -321,7 +317,7 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
     usable only shrinks as now grows, since a piece lies inside its original;
     a suffix of a least (weight, hops, vertex sequence) path is least from its
     first vertex; so a suffix that is still usable beats every path in the
-    smaller graph.
+    smaller graph, and is the answer as it stands.
     """
     seeds = tuple(seeds)
     memo_key = (seeds, to_node, now)
@@ -333,9 +329,11 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
             _, path, k = tail
             if all(u.node == v.node or g.usable(u.wid, now)
                    for u, v in zip(path[k:], path[k + 1:])):
-                p = _path(g, path[k:])
-                found = g._memo[memo_key] = (p.total_weight, p.hops, p.vertices)
+                found = g._memo[memo_key] = path[k:]
                 return found
+    for _, v in seeds:
+        if v not in g._ix:
+            raise ValueError(f"vertex {v} is not in the graph")
     verts, start, mate, run, run_from = g.vertices, g._start, g._mate, g._run, g._run_from
     t_tr = g.t_tr
     best = [_NO_LABEL] * len(verts)  # least label pushed per vertex
@@ -353,7 +351,7 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
             continue  # superseded: its vertex's best label settles it
         node, wid = verts[u]
         if node == to_node:
-            found = weight, hops, tuple(verts[i] for i in path)
+            found = tuple(verts[i] for i in path)
             break
         hops += 1
         # a settled vertex's best is below any extension, so it is never pushed
@@ -379,10 +377,10 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
         # an entry gives way only to a search at an earlier instant, which
         # admits more later ones: a replay plans at rising instants, but the
         # generator's benign replay plans earlier than its attacked one
-        tails, route = g._tails, found[2]
-        for k, v in enumerate(route[:-1]):
+        tails = g._tails
+        for k, v in enumerate(found[:-1]):
             if (v, to_node) not in tails or now < tails[v, to_node][0]:
-                tails[v, to_node] = (now, route, k)
+                tails[v, to_node] = (now, found, k)
     return found
 
 

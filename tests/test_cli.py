@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -113,6 +114,17 @@ def test_metrics_eor_json(capsys):
     assert doc["hops"] == [4, 15]
     assert doc["eor"]["local"] == [40 / 1400, 40 / 1400]
     assert doc["eor"]["hotd"][0] == pytest.approx(0.1875)
+
+
+def test_metrics_eor_bytes_are_pinned(capsys):
+    """The whole EOR table at the paper's hop counts, byte for byte, in both formats."""
+    for fmt, pinned in (
+        ("csv", ("16b850e1b4b8fdd6c86583af1884bf27334802ffe708ff637d912ae018d8d69c", 170)),
+        ("json", ("14d7e0194a145eef9c817813eaf45cf30d270b1f8db5998e9d017e30f466e492", 467)),
+    ):
+        data = run_ok(capsys, ["metrics", "--eor", "--hops", "4,5,7,10,15",
+                               "--format", fmt]).encode("utf-8")
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == pinned
 
 
 def test_metrics_runs_batch(capsys):

@@ -118,3 +118,23 @@ def test_loaders_name_the_same_defect_in_the_same_words(load, doc, message):
     with pytest.raises(ScenarioError) as err:
         load(doc)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ({"source": 0, "destination": 2, "delivered": False, "physical_arrival": 5,
+          "hops": [{"node": 0, "t": 0}]},
+         "invalid trace: undelivered trace must have no physical_arrival"),
+        ({"source": 0, "destination": 2, "delivered": False,
+          "hops": [{"node": 0, "t": 0}, {"node": 2, "t": 1}]},
+         "invalid trace: undelivered trace must not end at the destination"),
+    ],
+    ids=["undelivered-with-arrival", "undelivered-at-destination"],
+)
+def test_undelivered_trace_claims_no_arrival(doc, message):
+    """simulate never writes either trace: a dropped message has no arrival
+    and did not reach its destination."""
+    with pytest.raises(ScenarioError) as err:
+        trace_from_dict(doc)
+    assert str(err.value) == message

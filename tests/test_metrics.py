@@ -77,8 +77,6 @@ def test_overhead_model_fields():
     model = OverheadModel()
     assert model.global_bits == 20
     assert model.message_bits == 1400
-    custom = OverheadModel(node_id_bits=8, reception_time_bits=16)
-    assert custom.global_bits == 24
 
 
 def test_score_edge_cases():

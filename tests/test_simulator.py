@@ -181,6 +181,18 @@ def test_window_misses(demo, demo_graph):
     assert window_misses(demo, g, early) == {S: True}
 
 
+def test_window_misses_rejects_a_recorded_window_that_is_no_vertex(demo, demo_graph):
+    """A holder plans from the window it received over; one the graph does not
+    have is a named error, not a lookup failure."""
+    trace = simulate(demo, demo_graph)
+    assert trace.hops[1].node == A == 1
+    hops = list(trace.hops)
+    hops[1] = dataclasses.replace(hops[1], window=99)
+    bad = dataclasses.replace(trace, hops=tuple(hops))
+    with pytest.raises(ValueError, match=r"vertex \(1, 99\) is not in the graph"):
+        window_misses(demo, demo_graph, bad)
+
+
 def test_window_misses_skips_a_pass_through_the_destination():
     """A trace may pass the destination before it ends there; a holder at the
     destination plans no hop, so it gets no entry."""

@@ -480,7 +480,7 @@ def test_embed_requires_two_hops(demo_graph):
 
 def test_embed_rejects_impossible_send(demo_graph):
     g = demo_graph
-    trace = PacketTrace(S, A, (HopRecord(S, 0), HopRecord(A, 20 * SEC)), False)
+    trace = PacketTrace(S, F, (HopRecord(S, 0), HopRecord(A, 20 * SEC)), False)
     with pytest.raises(InconsistentTrace, match="no encounter"):
         embed_trace(g, trace)
 
@@ -488,7 +488,7 @@ def test_embed_rejects_impossible_send(demo_graph):
 def test_embed_rejects_mismatched_window(demo_graph):
     g = demo_graph
     trace = PacketTrace(
-        S, A, (HopRecord(S, 0), HopRecord(A, 6 * SEC, window=2, send_time_of_prev=5 * SEC)),
+        S, F, (HopRecord(S, 0), HopRecord(A, 6 * SEC, window=2, send_time_of_prev=5 * SEC)),
         False,
     )
     with pytest.raises(InconsistentTrace, match="recorded window"):
