@@ -40,6 +40,8 @@ class PacketTrace:
     def __post_init__(self) -> None:
         if not self.hops or self.hops[0].node != self.source:
             raise ValueError("trace must start at the source")
+        if self.hops[0].window is not None or self.hops[0].send_time_of_prev is not None:
+            raise ValueError("the source hop has no inbound transmission to record")
         times = [h.reception_time for h in self.hops]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("reception times must strictly increase")

@@ -17,7 +17,7 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -446,8 +446,32 @@ def embed_trace(g: Twig, trace: PacketTrace) -> TwigPath:
 # ---------------------------------------------------------------------------
 # dumps
 
-def _edges(g: Twig) -> Iterator[tuple[int, int, int, str]]:
-    """Every edge once as (u id, v id, weight, origin), in (u, v) vertex order.
+def graph_to_dict(g: Twig) -> dict:
+    """graph.json's content as a dict, parsed from the text _graph_json streams."""
+    return json.loads("".join(_graph_json(g)))
+
+
+_CHUNK_ROWS = 128  # rows per yielded chunk of either dump
+_VERTEX_ROW = ('    {\n      "node": %d,\n      "wid": %d,\n      "label": %s,\n'
+               '      "start": %r,\n      "end": %r\n    }')
+# an edge row is a head per source vertex, a lead per target node, a block
+# per target vertex and a tail per (weight, origin)
+_EDGE_HEAD = '    {\n      "u": [\n        %d,\n        %d\n      ],\n'
+_EDGE_LEAD = '      "v": [\n        %d,\n'
+_EDGE_TARGET = '        %d\n      ],\n'
+_EDGE_TAILS = {
+    origin: (f'      "kind": {encode_basestring_ascii(kind)},\n      "weight": %r,\n'
+             f'      "origin": {encode_basestring_ascii(origin)}\n    }}')
+    for origin, kind in (("succession", "directed"), ("containment", "undirected"),
+                         ("within_window", "undirected"))}
+_TAIL_MEMO = 1024  # most edge tails _edge_rows keeps at once
+
+
+def _edge_rows(g: Twig, head: Callable[[int], str], lead: Callable[[NodeId], str],
+               target: Callable[[int], str], tail: Callable[[int, str], str]
+               ) -> Iterator[list[str]]:
+    """Every edge once as the row head(u) + lead(v's node) + target(v) + tail(weight,
+    origin), in (u, v) vertex order, in lists of _CHUNK_ROWS rows (the last may be short).
 
     An undirected edge runs from the lower node id across a window, and from
     the containing window into the inner one; of two equal spans, the lower
@@ -455,64 +479,58 @@ def _edges(g: Twig) -> Iterator[tuple[int, int, int, str]]:
     same-node edges go to the vertices of its node, one range of ids, whose
     window ends after u's starts; u itself fails the strict key comparison.
     The mate's node is higher, so its id follows them.
+
+    One scan per node's range makes its lead once and each of its vertices'
+    targets once, and head(u) + lead once per source.  The mate edge makes
+    its own lead and target; its tail is made once.  A same-node tail is
+    made once per distinct (weight, origin) while the memo, emptied when it
+    reaches _TAIL_MEMO entries, holds it.  No call is made per edge.
     """
-    verts, start, mate = g.vertices, g._start, g._mate
-    end = [g._piece[wid].end for _, wid in verts]
-    hi = 0
-    for u, (node, wid) in enumerate(verts):
-        if u == hi:  # u opens its node's range of ids
-            lo, hi = u, bisect_left(verts, (node + 1,), u)
-        s, e = start[u], end[u]
-        for v in range(lo, hi):
-            if end[v] > s:
-                if e <= start[v]:
-                    yield u, v, start[v] - s, "succession"
-                elif (s, -e, wid) < (start[v], -end[v], verts[v].wid):
-                    yield u, v, start[v] - s, "containment"
-        if u < mate[u]:
-            yield u, mate[u], g.t_tr, "within_window"
-
-
-def graph_to_dict(g: Twig) -> dict:
-    """graph.json's content as a dict, parsed from the text _graph_json streams."""
-    return json.loads("".join(_graph_json(g)))
-
-
-_CHUNK_ROWS = 128  # rows per yielded chunk of graph.json
-_VERTEX_ROW = ('    {\n      "node": %d,\n      "wid": %d,\n      "label": %s,\n'
-               '      "start": %r,\n      "end": %r\n    }')
-# an edge row is a head per source vertex, a block per target vertex and a
-# tail per (weight, origin)
-_EDGE_HEAD = '    {\n      "u": [\n        %d,\n        %d\n      ],\n'
-_EDGE_TARGET = '      "v": [\n        %d,\n        %d\n      ],\n'
-_EDGE_TAILS = {
-    origin: (f'      "kind": {encode_basestring_ascii(kind)},\n      "weight": %r,\n'
-             f'      "origin": {encode_basestring_ascii(origin)}\n    }}')
-    for origin, kind in (("succession", "directed"), ("containment", "undirected"),
-                         ("within_window", "undirected"))}
-_TAIL_MEMO = 1024  # most edge tails _edge_texts keeps at once
-
-
-def _edge_texts(g: Twig, head: Callable[[int], str], target: Callable[[int], str],
-                tail: Callable[[int, str], str]) -> Iterator[str]:
-    """Each edge of _edges as head(u) + target(v) + tail(weight, origin).
-
-    A head is made once per source vertex and a tail once per distinct
-    (weight, origin).  The memo of tails is emptied when it reaches
-    _TAIL_MEMO entries, so a graph whose weights are all distinct cannot
-    grow it past that.
-    """
-    tails: dict[tuple[int, str], str] = {}
-    last = -1
-    for u, v, weight, origin in _edges(g):
-        if u != last:
-            last, text = u, head(u)
-        end = tails.get((weight, origin))
-        if end is None:
-            if len(tails) == _TAIL_MEMO:
-                tails.clear()
-            end = tails[weight, origin] = tail(weight, origin)
-        yield text + target(v) + end
+    verts, start, mate, piece = g.vertices, g._start, g._mate, g._piece
+    # the tail memo, by weight, one dict per same-node origin
+    succ: dict[int, str] = {}
+    cont: dict[int, str] = {}
+    mate_tail = tail(g.t_tr, "within_window") if verts else ""
+    rows: list[str] = []
+    lo = 0
+    while lo < len(verts):
+        node = verts[lo].node
+        hi = bisect_left(verts, (node + 1,), lo)
+        near = lead(node)
+        wids = [wid for _, wid in verts[lo:hi]]
+        starts, ends = start[lo:hi], [piece[wid].end for wid in wids]
+        blocks = [target(v) for v in range(lo, hi)]
+        for u, s, e, wid in zip(range(lo, hi), starts, ends, wids):
+            text = head(u)
+            first = text + near
+            for sv, ev, wv, block in zip(starts, ends, wids, blocks):
+                if ev <= s:
+                    continue
+                if e <= sv:
+                    memo, origin = succ, "succession"
+                elif s < sv or s == sv and (ev < e or ev == e and wid < wv):
+                    memo, origin = cont, "containment"
+                else:
+                    continue
+                last = memo.get(sv - s)
+                if last is None:
+                    if len(succ) + len(cont) == _TAIL_MEMO:
+                        succ.clear()
+                        cont.clear()
+                    last = memo[sv - s] = tail(sv - s, origin)
+                rows.append(first + block + last)
+                if len(rows) == _CHUNK_ROWS:
+                    yield rows
+                    rows = []
+            m = mate[u]
+            if u < m:
+                rows.append(text + lead(verts[m].node) + target(m) + mate_tail)
+                if len(rows) == _CHUNK_ROWS:
+                    yield rows
+                    rows = []
+        lo = hi
+    if rows:
+        yield rows
 
 
 def _graph_json(g: Twig) -> Iterator[str]:
@@ -525,20 +543,22 @@ def _graph_json(g: Twig) -> Iterator[str]:
     verts, piece, labels = g.vertices, g._piece, g._labels
     yield '{\n  "t_tr": %r,\n  "vertices": ' % to_seconds(g.t_tr)
     yield from _json_list(
-        _VERTEX_ROW % (node, wid, encode_basestring_ascii(labels[wid]),
-                       to_seconds(piece[wid].start), to_seconds(piece[wid].end))
-        for node, wid in verts)
+        [_VERTEX_ROW % (node, wid, encode_basestring_ascii(labels[wid]),
+                        to_seconds(piece[wid].start), to_seconds(piece[wid].end))
+         for node, wid in verts[i:i + _CHUNK_ROWS]]
+        for i in range(0, len(verts), _CHUNK_ROWS))
     yield ',\n  "edges": '
-    yield from _json_list(_edge_texts(
-        g, lambda u: _EDGE_HEAD % verts[u], lambda v: _EDGE_TARGET % verts[v],
+    yield from _json_list(_edge_rows(
+        g, lambda u: _EDGE_HEAD % verts[u], _EDGE_LEAD.__mod__,
+        lambda v: _EDGE_TARGET % verts[v].wid,
         lambda weight, origin: _EDGE_TAILS[origin] % to_seconds(weight)))
     yield "\n}\n"
 
 
-def _json_list(rows: Iterator[str]) -> Iterator[str]:
-    """A list one level down in an indent-2 json.dumps document, _CHUNK_ROWS rows at a time."""
+def _json_list(batches: Iterable[list[str]]) -> Iterator[str]:
+    """A list one level down in an indent-2 json.dumps document, a batch of rows at a time."""
     sep = "[\n"
-    for batch in iter(lambda: list(islice(rows, _CHUNK_ROWS)), []):
+    for batch in batches:
         yield sep + ",\n".join(batch)
         sep = ",\n"
     yield "[]" if sep == "[\n" else "\n  ]"
@@ -554,7 +574,7 @@ _DOT_STYLES = {"succession": "", "containment": ", dir=none, style=dashed",
 
 
 def _dot_lines(g: Twig, node_label: Callable[[NodeId], str]) -> Iterator[str]:
-    """The lines of to_dot's text, each with its newline."""
+    """to_dot's text, a line per vertex, then the edge lines _CHUNK_ROWS at a time."""
     def quoted(v: TwigVertex) -> str:
         label = g.vertex_label(v, node_label)
         return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -570,5 +590,7 @@ def _dot_lines(g: Twig, node_label: Callable[[NodeId], str]) -> Iterator[str]:
     yield "digraph twig {\n"
     for name in names:
         yield f"  {name};\n"
-    yield from _edge_texts(g, lambda u: f"  {names[u]} -> ", names.__getitem__, attrs)
+    for batch in _edge_rows(g, lambda u: f"  {names[u]} -> ", lambda node: "",
+                            names.__getitem__, attrs):
+        yield "".join(batch)
     yield "}\n"

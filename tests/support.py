@@ -167,9 +167,9 @@ def oracle_search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_n
 def oracle_run_edges(g: Twig) -> Iterator[tuple[int, int, int, str]]:
     """Every edge once as (u id, v id, weight, origin), in (u, v) vertex order.
 
-    The enumeration ``twig._edges`` replaced, kept verbatim: it walks the
-    suffix of u's node's run whose windows end after u's starts and sorts
-    each vertex's edges.
+    The enumeration the dumps' per-node scan (``twig._edge_rows``) replaced,
+    kept verbatim: it walks the suffix of u's node's run whose windows end
+    after u's starts and sorts each vertex's edges.
 
     An undirected edge runs from the lower node id across a window, and from
     the containing window into the inner one; of two equal spans, the lower

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 import time
 
@@ -35,6 +36,7 @@ from tdasim import (
 )
 
 SEC = to_us(1)
+SHIFT = 37_123_456  # microseconds: a shift that lines up with no window or grid
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +393,35 @@ def test_detectors_never_accuse_honest_nodes_in_demo(delays):
             if c.kind == "predecessor" and c.flagged:
                 assert c.delta != SEC
                 assert c.immediate is False
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PRESETS)), st.integers(0, 11))
+def test_verdicts_do_not_move_when_every_time_shifts(preset, seed):
+    """Shifting every window and the creation time by 37.123456 s shifts
+    every reception and send instant by exactly that much, and changes no
+    route, recorded window, global or local flag, fp or sp: on the attacked
+    and the benign replay of generated scenarios, each on a fresh graph."""
+    s = generate(preset_params(preset, seed))
+    moved = dataclasses.replace(
+        s, windows=tuple(dataclasses.replace(w, start=w.start + SHIFT, end=w.end + SHIFT)
+                         for w in s.windows),
+        creation_time=s.creation_time + SHIFT)
+    for pair in ((s, moved), (s.without_attack(), moved.without_attack())):
+        outcomes = []
+        for scenario in pair:
+            g = build(scenario.windows, scenario.t_tr)
+            trace = simulate(scenario, g)
+            outcomes.append((trace, detect_global(g, trace), run_local_pipeline(scenario, g, trace)))
+        (trace, report, scan), (shifted, shifted_report, shifted_scan) = outcomes
+        assert [(h.node, h.window) for h in shifted.hops] == [(h.node, h.window) for h in trace.hops]
+        assert [(h.reception_time, h.send_time_of_prev) for h in shifted.hops] == [
+            (h.reception_time + SHIFT, None if h.send_time_of_prev is None
+             else h.send_time_of_prev + SHIFT) for h in trace.hops]
+        assert shifted.delivered == trace.delivered
+        assert (shifted_report.flagged, shifted_report.fp_weight, shifted_report.sp_weight) == (
+            report.flagged, report.fp_weight, report.sp_weight)
+        assert [r.flagged for r in shifted_scan.reports] == [r.flagged for r in scan.reports]

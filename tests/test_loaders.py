@@ -138,3 +138,13 @@ def test_undelivered_trace_claims_no_arrival(doc, message):
     with pytest.raises(ScenarioError) as err:
         trace_from_dict(doc)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("claim", [{"window": 1}, {"sent_at": 0.5}], ids=["window", "sent-at"])
+def test_source_hop_claims_no_transmission(claim):
+    """The source received the message over no window, so its hop records
+    neither a window nor a send instant; simulate never writes one that does."""
+    doc = _edited(TRACE_DOC, lambda d: d["hops"][0].update(claim))
+    with pytest.raises(ScenarioError) as err:
+        trace_from_dict(doc)
+    assert str(err.value) == "invalid trace: the source hop has no inbound transmission to record"

@@ -61,8 +61,8 @@ from tdasim import (
 )
 from tdasim import twig
 from tdasim.cli import _emit
-from tdasim.scenario import dumps
-from tdasim.twig import _dot_lines, _edges, _graph_json, _split, _window_labels
+from tdasim.scenario import dumps, to_seconds
+from tdasim.twig import _dot_lines, _graph_json, _split, _window_labels
 
 SEC = to_us(1)
 
@@ -775,7 +775,7 @@ def test_staircase_dump_bytes_are_pinned():
     share heads and tails, as the writers wrote it before each row was
     joined from reused pieces of text."""
     g = build(staircase(24), SEC)
-    assert (len(g.vertices), sum(1 for _ in _edges(g))) == (588, 26_336)
+    assert (len(g.vertices), sum(1 for _ in oracle_run_edges(g))) == (588, 26_336)
     for text, pinned in (
         ("".join(_graph_json(g)),
          ("90f0bf27b04a00498cea6b2a1f3da1766884284eaa03b3af22327bffcdc9b964", 4_776_421)),
@@ -791,14 +791,19 @@ def test_staircase_dump_bytes_are_pinned():
                                                   st.integers(0, 4)), max_size=8),
        st.integers(1, 16), st.integers(1, 3 * SEC))
 def test_edges_match_the_run_scan(seed, nested, k, t_tr):
-    """The scan of each node's id range yields the run-suffix enumeration's
-    edges in its order: on random graphs, on windows nested around one
-    centre (equal spans among them), on staircases and on the empty graph."""
+    """The edges graph.json writes, from its scan of each node's id range,
+    are the run-suffix enumeration's edges in its order: on random graphs, on
+    windows nested around one centre (equal spans among them), on
+    staircases and on the empty graph."""
     nest = tuple(TimeWindow(wid, a, a + d, c * SEC, (10 - c) * SEC)
                  for wid, (a, d, c) in enumerate(nested, start=1))
     for g in (random_small_twig(random.Random(seed), max_vertices=30), build(nest, t_tr),
               build(staircase(k), t_tr), build((), t_tr)):
-        assert list(_edges(g)) == list(oracle_run_edges(g))
+        ix = {v: i for i, v in enumerate(g.vertices)}
+        written = [(ix[tuple(e["u"])], ix[tuple(e["v"])], e["weight"], e["origin"])
+                   for e in graph_to_dict(g)["edges"]]
+        assert written == [(u, v, to_seconds(weight), origin)
+                           for u, v, weight, origin in oracle_run_edges(g)]
 
 
 def test_window_labels_are_made_only_when_read(monkeypatch):
@@ -885,15 +890,40 @@ def test_edge_tails_are_made_once_per_weight_and_origin(monkeypatch):
     """Seconds are written once per vertex end and once per distinct
     (weight, origin), not once per edge."""
     g = build(staircase(12), SEC)
-    tails = {(weight, origin) for _, _, weight, origin in _edges(g)}
+    edges = list(oracle_run_edges(g))
+    tails = {(weight, origin) for _, _, weight, origin in edges}
     calls = []
     real = twig.to_seconds
     monkeypatch.setattr(twig, "to_seconds", lambda us: calls.append(us) or real(us))
     "".join(_graph_json(g))
-    assert len(calls) == 1 + 2 * len(g.vertices) + len(tails) < len(list(_edges(g)))
+    assert len(calls) == 1 + 2 * len(g.vertices) + len(tails) < len(edges)
     calls.clear()
     to_dot(g)
     assert len(calls) == len(tails)
+
+
+def test_edge_texts_are_made_once_per_source_and_node_scan(monkeypatch):
+    """Both writers make a head once per source vertex, and a lead and a
+    target once per node scan and once per within-window edge: all well
+    under the edge count, so no text is made per edge."""
+    g = build(staircase(12), SEC)
+    edges, nodes = sum(1 for _ in oracle_run_edges(g)), len({n for n, _ in g.vertices})
+    real = twig._edge_rows
+
+    def counting(g, head, lead, target, tail):
+        def counted(kind, make):
+            return lambda x: made.update([kind]) or make(x)
+        return real(g, counted("head", head), counted("lead", lead),
+                    counted("target", target), tail)
+
+    monkeypatch.setattr(twig, "_edge_rows", counting)
+    for write in (lambda: "".join(_graph_json(g)), lambda: to_dot(g)):
+        made = Counter()
+        write()
+        assert made["head"] <= len(g.vertices)
+        assert made["lead"] <= nodes + len(g.split_windows)
+        assert made["target"] <= len(g.vertices) + len(g.split_windows)
+        assert 8 * max(made.values()) < edges, (made, edges)
 
 
 def test_edge_tail_memo_is_bounded_when_every_weight_differs(tmp_path):
@@ -901,7 +931,7 @@ def test_edge_tail_memo_is_bounded_when_every_weight_differs(tmp_path):
     edges, nearly every weight distinct, yet writing graph.json peaks under
     the 1 MB the staircases stay within."""
     g = build(tuple(TimeWindow(i, 0, i, i**3, 10**9 - i**3) for i in range(1, 151)), SEC)
-    weights = [weight for _, _, weight, origin in _edges(g) if origin == "containment"]
+    weights = [weight for _, _, weight, origin in oracle_run_edges(g) if origin == "containment"]
     assert len(weights) == 11_175 and len(set(weights)) > 10_000
     gc.collect()
     tracemalloc.start()
