@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import heapq
 import json
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -63,7 +63,10 @@ class Twig:
     Holds the split pieces and O(pieces) index state over them, never arcs:
     per node its pieces by neighbor, the vertices in (node, wid) order,
     numbered in that order, and per vertex its window start, its
-    within-window mate and where its same-node arcs begin in its node's run.
+    within-window mate, where its same-node arcs begin among its node's
+    pieces in start order, and the pieces that enclose it and start earlier.
+    The pieces are laminar, as build() makes them: two pieces of one node
+    that partially overlap are a ValueError.
     What grows is a memo of the searches asked of the graph and the paths
     they found, whose suffixes answer later searches from their vertices.
     """
@@ -93,30 +96,62 @@ class Twig:
             by_nbr.setdefault(a, {})[b] = by_nbr.setdefault(b, {})[a] = tuple(sorted(ws, key=_wkey))
         self._by_nbr = {n: MappingProxyType(nbrs) for n, nbrs in by_nbr.items()}
         # vertex i is vertices[i]: ids follow (node, wid) order, so comparing id
-        # sequences compares vertex sequences and the search's tie-break holds
-        self.vertices = verts = tuple(sorted(
-            [TwigVertex(w.a, w.wid) for w in self.split_windows]
-            + [TwigVertex(w.b, w.wid) for w in self.split_windows]))
-        self._ix = ix = {v: i for i, v in enumerate(verts)}
+        # sequences compares vertex sequences and the search's tie-break holds;
+        # tuple.__new__ makes each TwigVertex from its pair, as _make does
+        wids = [w.wid for w in self.split_windows]
+        self.vertices = verts = tuple(sorted(map(tuple.__new__, repeat(TwigVertex), chain(
+            zip([w.a for w in self.split_windows], wids),
+            zip([w.b for w in self.split_windows], wids)))))
+        self._ix = ix = dict(zip(verts, range(len(verts))))
         windows = [self._piece[wid] for _, wid in verts]
-        self._start = [w.start for w in windows]
-        self._mate = [ix[(w.other(n), w.wid)] for (n, _), w in zip(verts, windows)]
-        # a node's run: its vertex ids sorted by window end, with their window
-        # starts alongside; the same-node arcs of u go to the run's vertices
-        # other than u whose window ends after u's starts, a suffix found by
-        # bisection, and weigh the gap between the two starts
-        ids_of: dict[NodeId, list[int]] = {}
-        for i, (n, _) in enumerate(verts):
-            ids_of.setdefault(n, []).append(i)
-        self._run: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * len(verts)
-        self._run_from = [0] * len(verts)
-        for n, ids in ids_of.items():
-            ids.sort(key=lambda i: windows[i].end)
-            ends = [windows[i].end for i in ids]
-            run = (tuple(ids), tuple([windows[i].start for i in ids]))
-            for i in ids:
-                self._run[i] = run
-                self._run_from[i] = bisect_right(ends, windows[i].start)
+        self._start = start = [w.start for w in windows]
+        self._mate = [ix[w.b if n == w.a else w.a, wid] for (n, wid), w in zip(verts, windows)]
+        # u's same-node arcs go to the other pieces of its node that end after
+        # its own starts, and weigh the gap between the two starts.  The pieces
+        # are laminar (any two are disjoint, nested or equal), so those arcs are
+        # the positions of u's node, in (start, -end, id) order, from the first
+        # that starts with u, and the few pieces that enclose u and start
+        # earlier.  Positions run node after node, with a stop before each
+        # node and after the last
+        self._walk_ids = ids = [-1]  # vertex id per position, -1 at a stop
+        stops = [0]
+        self._walk_from = walk_from = [0] * len(verts)  # u's first position
+        # per vertex, (id, start gap) for each piece that encloses it and starts earlier
+        self._enclosing = enclosing = [()] * len(verts)
+        end = [w.end for w in windows]
+        neg_end = [-e for e in end]
+        lo = 0
+        while lo < len(verts):  # a node's ids are the range [lo, hi)
+            hi = bisect_left(verts, (verts[lo].node + 1,), lo)
+            # both sorts are stable: by start, then by -end, then by id
+            block = sorted(range(lo, hi), key=neg_end.__getitem__)
+            block.sort(key=start.__getitem__)
+            first = None
+            nest: list[int] = []  # the pieces that enclose the next, outermost first
+            for k, i in enumerate(block, len(ids)):
+                s = start[i]
+                if s != first:
+                    first, at = s, k
+                walk_from[i] = at
+                while nest and end[nest[-1]] <= s:  # it encloses no later piece
+                    nest.pop()
+                if nest:
+                    if end[nest[-1]] < end[i]:
+                        raise ValueError(f"pieces {verts[nest[-1]].wid} and {verts[i].wid} "
+                                         "partially overlap")
+                    if start[nest[0]] < s:
+                        enclosing[i] = tuple([(j, s - start[j]) for j in nest if start[j] < s])
+                nest.append(i)
+            ids += block
+            stops.append(len(ids))
+            ids.append(-1)
+            lo = hi
+        padded = start + [0]  # a stop's id, -1, reads the 0 appended
+        self._walk_starts = [padded[i] for i in ids]  # window start per position
+        # each position's mark before a search: open, or a stop no walk passes
+        self._walk_marks = marks = [_OPEN] * len(ids)
+        for k in stops:
+            marks[k] = _STOP
 
     @cached_property
     def _labels(self) -> dict[int, str]:
@@ -296,6 +331,9 @@ def _path(g: Twig, verts: tuple[TwigVertex, ...]) -> TwigPath:
 
 
 _NO_LABEL = (float("inf"), 0, ())
+# a walk's marks: an open position is above every key, a stop below every key
+_OPEN = (float("inf"),)
+_STOP = (float("-inf"),)
 
 
 def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: NodeId,
@@ -310,6 +348,21 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
     carry vertex ids, whose order is the vertex order, and the answer holds
     the graph's own vertices; a seed that is not one is a ValueError.  The
     graph never changes, so it answers a repeated search from its memo.
+
+    A popped u relaxes its same-node arcs without scanning them all.  The
+    pieces that start before u and end after it enclose it, the pieces being
+    laminar, and u relaxes them from its enclosing list.  The others are its
+    node's pieces from the first that starts with u, in (start, -end, id)
+    order, and u walks them.  Its label at a position is its key (weight -
+    start(u), hops, path) with that position's start added to the weight;
+    the shift keeps the order of keys, as paths of equal (weight, hops) are
+    of equal length.  Each position keeps the least key a walk of this
+    search left there, and a walk stops at the first position whose key is
+    no greater than its own.  That is exact: whoever left that key walked
+    on to the end of the node, or stopped where a yet earlier walk's key was
+    no greater, so every later position already holds a best label no
+    greater than u's label there, and u would push nothing.  So the labels
+    pushed and popped are those of a scan of every same-node arc.
 
     A search from one vertex at offset 0, gated at now, is also answered by
     the rest of a path P an earlier search gated at now0 <= now found through
@@ -334,8 +387,9 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
     for _, v in seeds:
         if v not in g._ix:
             raise ValueError(f"vertex {v} is not in the graph")
-    verts, start, mate, run, run_from = g.vertices, g._start, g._mate, g._run, g._run_from
-    t_tr = g.t_tr
+    verts, start, mate, t_tr = g.vertices, g._start, g._mate, g.t_tr
+    ids, starts, walk_from, enclosing = g._walk_ids, g._walk_starts, g._walk_from, g._enclosing
+    marks = g._walk_marks[:]  # per position, the least key a walk left there
     best = [_NO_LABEL] * len(verts)  # least label pushed per vertex
     heap = [(offset, 0, (g._ix[v],)) for offset, v in seeds]
     for label in heap:
@@ -363,11 +417,21 @@ def _search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: N
                 and (now is None or g.usable(wid, now)):
             best[v] = label = (w, hops, path + (v,))
             push(heap, label)
-        s = start[u]
-        ids, starts = run[u]
-        for k in range(run_from[u], len(ids)):
+        # u's label at position k is its key shifted by the position's start
+        lead = weight - start[u]
+        key = (lead, hops, path)
+        k = walk_from[u]
+        while marks[k] > key:
+            marks[k] = key
             v = ids[k]
-            w = weight + abs(starts[k] - s)
+            w = lead + starts[k]
+            k += 1
+            b = best[v]
+            if w < b[0] or w == b[0] and (hops < b[1] or hops == b[1] and path + (v,) < b[2]):
+                best[v] = label = (w, hops, path + (v,))
+                push(heap, label)
+        for v, gap in enclosing[u]:
+            w = weight + gap
             b = best[v]
             if w < b[0] or w == b[0] and (hops < b[1] or hops == b[1] and path + (v,) < b[2]):
                 best[v] = label = (w, hops, path + (v,))

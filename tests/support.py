@@ -11,7 +11,9 @@ pair at a time, rescanning from scratch.  The window-derivation oracle is
 the state-machine sampling loop the grouped runs replaced, the embedding
 oracle is the two-pass trace embedding that embed_trace's one walk replaced,
 and the run-scan edge oracle is the edge enumeration that the dumps' scan
-of a node's id range replaced.
+of a node's id range replaced.  The search oracle is the search that pushed
+a label per arc, and it and the run-scan edge oracle make the runs they
+scan from the pieces themselves, not from the graph's index.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
 from tdasim import (
@@ -124,6 +127,31 @@ def oracle_shortest(g: Twig, start: TwigVertex, to_node: int, now: int | None = 
     return best
 
 
+def _runs(g: Twig) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], list[int]]:
+    """Per vertex id, its node's run and where its same-node arcs begin in it.
+
+    The index the oracles below were written against, made from the pieces:
+    a node's run is its vertex ids sorted by window end, with their window
+    starts alongside, and the same-node arcs of u go to the run's vertices
+    whose window ends after u's starts, a suffix found by bisection.
+    """
+    piece = {w.wid: w for w in g.split_windows}
+    windows = [piece[wid] for _, wid in g.vertices]
+    ids_of: dict[NodeId, list[int]] = {}
+    for i, (n, _) in enumerate(g.vertices):
+        ids_of.setdefault(n, []).append(i)
+    run: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * len(windows)
+    run_from = [0] * len(windows)
+    for ids in ids_of.values():
+        ids.sort(key=lambda i: windows[i].end)
+        ends = [windows[i].end for i in ids]
+        node_run = (tuple(ids), tuple(windows[i].start for i in ids))
+        for i in ids:
+            run[i] = node_run
+            run_from[i] = bisect_right(ends, windows[i].start)
+    return run, run_from
+
+
 def oracle_search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_node: NodeId,
                   now: int | None) -> tuple[int, int, tuple[tuple[NodeId, int], ...]] | None:
     """Least (weight, hops, key sequence) label reaching to_node, or None.
@@ -136,7 +164,8 @@ def oracle_search(g: Twig, seeds: Iterable[tuple[int, tuple[NodeId, int]]], to_n
     and survives extension by an arc, so arc order cannot change the result.
     Labels carry vertex ids, whose order is the key order.
     """
-    keys, start, mate, run, run_from = g.vertices, g._start, g._mate, g._run, g._run_from
+    keys, start, mate = g.vertices, g._start, g._mate
+    run, run_from = _runs(g)
     t_tr = g.t_tr
     heap = [(offset, 0, (g._ix[key],)) for offset, key in seeds]
     heapq.heapify(heap)
@@ -175,7 +204,8 @@ def oracle_run_edges(g: Twig) -> Iterator[tuple[int, int, int, str]]:
     the containing window into the inner one; of two equal spans, the lower
     wid contains the other.  Succession edges run forward in time.
     """
-    verts, start, mate, run, run_from = g.vertices, g._start, g._mate, g._run, g._run_from
+    verts, start, mate = g.vertices, g._start, g._mate
+    run, run_from = _runs(g)
     end = [g._piece[wid].end for _, wid in verts]
     for u, (_, wid) in enumerate(verts):
         s, e = start[u], end[u]

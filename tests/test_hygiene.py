@@ -233,12 +233,20 @@ def test_loaders_check_keys_only_through_one_reader():
     assert sites == []
 
 
-def test_runs_are_read_only_by_the_index_and_the_search():
-    """A node's run, its vertex ids by window end, serves the search's
-    same-node arcs; the dumps scan the node's range of ids instead, so
-    inside the package only the index that makes the runs and the search
-    read them."""
-    sites = {f"{path.name}: {scope}" for path in sorted(PACKAGE.glob("*.py"))
-             for scope, node in scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Attribute) and node.attr in ("_run", "_run_from")}
-    assert sites == {"twig.py: Twig.__post_init__", "twig.py: _search"}
+def test_walk_index_is_read_only_by_the_index_and_the_search():
+    """The index of each node's pieces in start order, and of the pieces
+    that enclose each vertex, serves the search's same-node arcs; the dumps
+    scan the node's range of ids instead, so inside the package only the
+    constructor that makes the index and the search read it.  The test
+    oracles make the runs they scan themselves, so they stay independent of
+    it."""
+    index = ("_walk_ids", "_walk_starts", "_walk_from", "_walk_marks", "_enclosing")
+
+    def readers(path: Path) -> set[str]:
+        return {f"{path.name}: {scope}"
+                for scope, node in scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Attribute) and node.attr in index}
+
+    assert set().union(*map(readers, sorted(PACKAGE.glob("*.py")))) == {
+        "twig.py: Twig.__post_init__", "twig.py: _search"}
+    assert readers(TESTS / "support.py") == set()
